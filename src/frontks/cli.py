@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 
@@ -187,13 +188,13 @@ def _add_schema_flags(parser: argparse.ArgumentParser, schema: list[Key]) -> Non
 
 def _output_dir(args: argparse.Namespace, subcommand: str) -> str:
     if getattr(args, "out", None):
-        path = args.out
-    else:
-        base = os.environ.get(OUTPUT_DIR_ENV, "runs")
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        path = os.path.join(base, f"{subcommand}-{stamp}")
-    os.makedirs(path, exist_ok=True)
-    return path
+        os.makedirs(args.out, exist_ok=True)
+        return args.out
+    base = os.environ.get(OUTPUT_DIR_ENV, "runs")
+    os.makedirs(base, exist_ok=True)
+    # created exclusively, so two runs stamped in the same second get two directories
+    stamp = time.strftime("%Y%m%d-%H%M%S")
+    return tempfile.mkdtemp(prefix=f"{subcommand}-{stamp}-", dir=base)
 
 
 def _initial_condition(grid, cfg) -> SpectralField:

@@ -15,7 +15,7 @@ cancel catastrophically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,11 +72,8 @@ def make_ks_equation(grid: SpectralGrid) -> EquationDescriptor:
 
 def make_rescaled_equation(epsilon: float, grid: SpectralGrid) -> EquationDescriptor:
     """Slow-scale equation on a period-L0 grid; eps = 0 returns the exact limit."""
-    lam = grid.eigenvalues
     if epsilon == 0:
-        return EquationDescriptor(
-            grid, lam - 4.0 * lam**2, np.full(grid.n_modes, -0.5), "rescaled(eps=0)"
-        )
+        return replace(make_ks_equation(grid), label="rescaled(eps=0)")
     table = build_rescaled_symbols(epsilon, grid)
     return EquationDescriptor(
         grid,

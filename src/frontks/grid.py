@@ -10,12 +10,14 @@ so mode k carries eigenvalue lam_k with lam_0 = 0 and
 lam_{2j-1} = lam_{2j} = (2 pi j / L)^2.  The basis is orthonormal with
 respect to the *mean* inner product (1/L) int f g dy, hence
 sum_k a_k^2 = (1/L) int f^2 (Parseval) and a_0 is the mean of f.
-Quadratic products are evaluated pointwise on a zero-padded collocation
-grid, which makes the truncated product alias-free on all retained modes.
+Quadratic products are evaluated pointwise on the grid's own collocation
+points, n_points >= 3K + 1 for top harmonic K (the 3/2 rule), and truncated,
+which makes the product alias-free on all retained modes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +53,22 @@ class SpectralGrid:
     n_modes: int
     n_points: int
     eigenvalues: np.ndarray
+    # spectral layout, built once per grid: see _pack
+    _coeff_scale: np.ndarray = dataclasses.field(init=False, repr=False)
+    _ik: np.ndarray = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        # coefficient k >= 1 is sqrt(2) (-1)^j times Re z_j (cos, k odd) or
+        # -Im z_j (sin, k even), j = (k+1)//2: a sign pattern of period 4 in k
+        scale = np.tile([-_SQRT2, _SQRT2, _SQRT2, -_SQRT2], self.n_modes // 4 + 1)
+        object.__setattr__(self, "_coeff_scale", scale[: self.n_modes - 1])
+        # derivative multiplier i q_j; an even truncation leaves the top cosine
+        # without its sin partner, its derivative leaves the space, so it is
+        # annihilated (usual Nyquist convention)
+        ik = 1j * (2.0 * np.pi * np.arange(self.max_harmonic + 1) / self.period)
+        if self.n_modes % 2 == 0:
+            ik[-1] = 0.0
+        object.__setattr__(self, "_ik", ik)
 
     @property
     def max_harmonic(self) -> int:
@@ -91,8 +109,9 @@ def make_grid(period: float, n_modes: int) -> SpectralGrid:
         raise ValueError(f"period must be positive, got {period}")
     if n_modes < 3:
         raise ValueError(f"n_modes must be at least 3, got {n_modes}")
-    # smallest even point count >= 3N/2 keeps truncated quadratics alias-free
-    n_points = -2 * (-3 * n_modes // 4)  # ceil(3N/2) rounded up to even
+    # smallest even count above 3N/2; it is >= 3K + 1 for top harmonic K, the
+    # 3/2 rule that keeps truncated quadratics alias-free
+    n_points = 2 * (3 * n_modes // 4 + 1)
     k = np.arange(n_modes)
     j = (k + 1) // 2
     lam = (2.0 * np.pi * j / period) ** 2
@@ -106,36 +125,28 @@ def collocation_points(grid: SpectralGrid, n_points: int | None = None) -> np.nd
     return -0.5 * grid.period + grid.period * np.arange(n) / n
 
 
-def _values_to_coeffs(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
-    n = len(values)
-    spectrum = np.fft.rfft(values) / n
-    jmax = min(grid.max_harmonic, n // 2 - 1 if n % 2 == 0 else (n - 1) // 2)
-    coeffs = np.zeros(grid.n_modes)
-    coeffs[0] = spectrum[0].real
-    j = np.arange(1, jmax + 1)
-    # points start at -L/2, so harmonic j picks up a phase (-1)^j
-    sign = np.where(j % 2 == 0, 1.0, -1.0)
-    coeffs[2 * j - 1] = _SQRT2 * sign * spectrum[j].real
-    has_sin = 2 * j <= grid.n_modes - 1  # top sin partner may be truncated
-    coeffs[2 * j[has_sin]] = -_SQRT2 * sign[has_sin] * spectrum[j[has_sin]].imag
+def _pack(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Real-basis coefficients -> half-complex spectrum z_0..z_K (rfft layout).
+
+    The values at n collocation points are irfft(z, n, norm="forward").  As a
+    float array, z interleaves (Re z_j, Im z_j), which lines up with the
+    (cos_j, sin_j) coefficient pairs; grid._coeff_scale carries the sqrt(2), the
+    sign of each sin and the phase (-1)^j from points starting at -L/2.  An
+    even truncation leaves the top cosine unpaired, so Im z_K stays zero.
+    """
+    buf = np.zeros(2 * grid.max_harmonic + 2)
+    buf[0] = coeffs[0]
+    buf[2 : grid.n_modes + 1] = coeffs[1:] / grid._coeff_scale
+    return buf.view(complex)
+
+
+def _unpack(grid: SpectralGrid, spectrum: np.ndarray) -> np.ndarray:
+    """Inverse of _pack: harmonics above K and the unpaired top sin are dropped."""
+    flat = spectrum.view(float)
+    coeffs = np.empty(grid.n_modes)
+    coeffs[0] = flat[0]
+    coeffs[1:] = flat[2 : grid.n_modes + 1] * grid._coeff_scale
     return coeffs
-
-
-def _coeffs_to_values(grid: SpectralGrid, coeffs: np.ndarray, n_points: int) -> np.ndarray:
-    n = n_points
-    if n < 2 * grid.max_harmonic + 1:
-        raise ValueError(f"{n} points cannot carry harmonics up to {grid.max_harmonic}")
-    spectrum = np.zeros(n // 2 + 1, dtype=complex)
-    spectrum[0] = coeffs[0]
-    jmax = grid.max_harmonic
-    j = np.arange(1, jmax + 1)
-    sign = np.where(j % 2 == 0, 1.0, -1.0)
-    re = coeffs[2 * j - 1]
-    im = np.zeros_like(re)
-    has_sin = 2 * j <= grid.n_modes - 1
-    im[has_sin] = coeffs[2 * j[has_sin]]
-    spectrum[j] = sign * (re - 1j * im) / _SQRT2
-    return np.fft.irfft(spectrum * n, n)
 
 
 def transform(grid: SpectralGrid, values: np.ndarray) -> SpectralField:
@@ -145,30 +156,20 @@ def transform(grid: SpectralGrid, values: np.ndarray) -> SpectralField:
         raise ValueError(
             f"expected {grid.n_points} collocation values, got {values.shape}"
         )
-    return SpectralField(grid, _values_to_coeffs(grid, values))
+    return SpectralField(grid, _unpack(grid, np.fft.rfft(values, norm="forward")))
 
 
 def inverse_transform(field: SpectralField, n_points: int | None = None) -> np.ndarray:
     """Spectral coefficients -> values at n_points uniform collocation points."""
-    n = field.grid.n_points if n_points is None else n_points
-    return _coeffs_to_values(field.grid, field.coeffs, n)
+    grid = field.grid
+    n = grid.n_points if n_points is None else n_points
+    if n < 2 * grid.max_harmonic + 1:
+        raise ValueError(f"{n} points cannot carry harmonics up to {grid.max_harmonic}")
+    return np.fft.irfft(_pack(grid, field.coeffs), n, norm="forward")
 
 
 def _derivative_coeffs(grid: SpectralGrid, coeffs: np.ndarray, order: int) -> np.ndarray:
-    jmax = grid.max_harmonic
-    j = np.arange(1, jmax + 1)
-    q = 2.0 * np.pi * j / grid.period
-    z = coeffs[2 * j - 1].astype(complex)
-    has_sin = 2 * j <= grid.n_modes - 1
-    z[has_sin] -= 1j * coeffs[2 * j[has_sin]]
-    # an even truncation leaves the top cosine without its sin partner; its
-    # derivative leaves the space, so annihilate it (usual Nyquist convention)
-    z[~has_sin] = 0.0
-    z *= (1j * q) ** order
-    out = np.zeros(grid.n_modes)
-    out[2 * j - 1] = z.real
-    out[2 * j[has_sin]] = -z.imag[has_sin]
-    return out
+    return _unpack(grid, _pack(grid, coeffs) * grid._ik**order)
 
 
 def differentiate(field: SpectralField, order: int = 1) -> SpectralField:
@@ -179,11 +180,10 @@ def differentiate(field: SpectralField, order: int = 1) -> SpectralField:
 
 
 def _square_coeffs(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    # doubled grid resolves every harmonic of the product; truncating back to
-    # n_modes zeroes everything above the retained band, so no aliasing at all
-    n_fine = 2 * grid.n_points
-    vals = _coeffs_to_values(grid, coeffs, n_fine)
-    return _values_to_coeffs(grid, vals * vals)
+    # n_points >= 3K + 1 resolves every harmonic of the product that could alias
+    # onto a retained one; truncating back to n_modes drops the rest
+    values = np.fft.irfft(_pack(grid, coeffs), grid.n_points, norm="forward")
+    return _unpack(grid, np.fft.rfft(values * values, norm="forward"))
 
 
 def dealiased_square(field: SpectralField) -> SpectralField:
@@ -229,18 +229,10 @@ def antiderivative(field: SpectralField) -> SpectralField:
     Differentiating the result recovers the zero-mean part of the input.
     """
     grid = field.grid
-    jmax = grid.max_harmonic
-    j = np.arange(1, jmax + 1)
-    q = 2.0 * np.pi * j / grid.period
-    z = field.coeffs[2 * j - 1].astype(complex)
-    has_sin = 2 * j <= grid.n_modes - 1
-    z[has_sin] -= 1j * field.coeffs[2 * j[has_sin]]
-    z[~has_sin] = 0.0  # same Nyquist convention as the derivative
-    z /= 1j * q
-    out = np.zeros(grid.n_modes)
-    out[2 * j - 1] = z.real
-    out[2 * j[has_sin]] = -z.imag[has_sin]
-    return SpectralField(grid, out)
+    z = _pack(grid, field.coeffs)
+    # the mean and an unpaired top cosine have ik = 0: same Nyquist convention
+    z = np.divide(z, grid._ik, out=np.zeros_like(z), where=grid._ik != 0)
+    return SpectralField(grid, _unpack(grid, z))
 
 
 def slope_energy_weights(grid: SpectralGrid) -> np.ndarray:

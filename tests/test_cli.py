@@ -205,3 +205,14 @@ def test_default_output_dir_uses_env(tmp_path, monkeypatch):
     assert len(runs) == 1
     assert runs[0].name.startswith("symbols-")
     assert (runs[0] / "symbols.csv").exists()
+
+
+def test_default_output_dirs_do_not_collide_within_one_second(tmp_path, monkeypatch):
+    monkeypatch.setenv("FRONTKS_OUTDIR", str(tmp_path / "base"))
+    monkeypatch.setattr("frontks.cli.time.strftime", lambda fmt: "20260101-000000")
+    argv = ["symbols", "--ell", "6.28", "--n-modes", "4", "--alpha", "1.0"]
+    assert main(argv) == EXIT_OK
+    assert main(argv) == EXIT_OK
+    runs = sorted((tmp_path / "base").iterdir())
+    assert len(runs) == 2
+    assert all((run / "symbols.csv").exists() for run in runs)

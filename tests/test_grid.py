@@ -158,11 +158,30 @@ def _quadrature_projection(grid, field):
     return coeffs
 
 
-def test_square_against_fine_grid_quadrature_oracle():
-    grid = make_grid(3.7, 21)
+def _standard_normal_field(grid, seed):
+    """Seeded O(1) coefficients on every mode, so the top harmonics are as
+    large as the bottom ones and any aliasing onto them shows."""
+    return SpectralField(grid, np.random.default_rng(seed).standard_normal(grid.n_modes))
+
+
+@pytest.mark.parametrize("n", [21, 64, 65, 66])
+def test_square_against_fine_grid_quadrature_oracle(n):
+    grid = make_grid(3.7, n)
     for seed in (0, 1, 2):
-        f = random_zero_mean_field(grid, 1.3, seed)
+        f = _standard_normal_field(grid, seed)
         got = dealiased_square(f).coeffs
+        want = _quadrature_projection(grid, f)
+        assert np.max(np.abs(got - want)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [64, 65, 66])
+def test_square_on_own_collocation_points_is_alias_free(n):
+    # n_points alone must satisfy the 3/2 rule (>= 3K + 1 points for top
+    # harmonic K); with n_modes = 0 mod 4, 3N/2 points alias onto the top cosine
+    grid = make_grid(3.7, n)
+    for seed in (0, 1, 2):
+        f = _standard_normal_field(grid, seed)
+        got = transform(grid, inverse_transform(f) ** 2).coeffs
         want = _quadrature_projection(grid, f)
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -245,23 +264,35 @@ def test_antiderivative_kills_constants():
     assert np.max(np.abs(antiderivative(sampled).coeffs)) < 1e-13
 
 
+def _without_unpaired_top_cosine(coeffs):
+    """Nyquist convention: an even truncation's top cosine has no sin partner,
+    and both the derivative and the antiderivative annihilate it."""
+    out = coeffs.copy()
+    if len(out) % 2 == 0:
+        out[-1] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("n", [19, 64])
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
-def test_derivative_inverts_antiderivative(seed):
-    grid = make_grid(6.0, 19)
-    f = SpectralField(grid, np.random.default_rng(seed).standard_normal(19))
+def test_derivative_inverts_antiderivative(n, seed):
+    grid = make_grid(6.0, n)
+    f = SpectralField(grid, np.random.default_rng(seed).standard_normal(n))
     _, fluct = mean_projection(f)
     recovered = differentiate(antiderivative(f), 1)
-    assert np.max(np.abs(recovered.coeffs - fluct.coeffs)) < 1e-12 * max(1.0, l2_norm(f))
+    want = _without_unpaired_top_cosine(fluct.coeffs)
+    assert np.max(np.abs(recovered.coeffs - want)) < 1e-12 * max(1.0, l2_norm(f))
 
 
-def test_double_antiderivative_then_second_derivative():
-    grid = make_grid(6.0, 19)
+@pytest.mark.parametrize("n", [19, 64])
+def test_double_antiderivative_then_second_derivative(n):
+    grid = make_grid(6.0, n)
     for seed in range(5):
         f = random_zero_mean_field(grid, 1.0, seed)
         psi = antiderivative(antiderivative(f))
         back = differentiate(psi, 2)
-        assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
+        assert np.max(np.abs(back.coeffs - _without_unpaired_top_cosine(f.coeffs))) < 1e-12
 
 
 def test_cosine_field_matches_pointwise():
