@@ -1,10 +1,11 @@
 """Command-line entry point: config handling, seeded runs, CSV/JSON reports.
 
 Configs are flat ``key = value`` text files; every key can also be given as
-a ``--key`` flag, and flags override file values.  Unknown keys are
-rejected and all validation problems are reported at once as a JSON error
-object on stderr.  Exit codes: 0 success, 2 config error, 3 numerical
-blowup, 4 I/O error.  Identical config + seed reproduces byte-identical
+a ``--key`` flag, flags override file values, and both are parsed by one
+parser.  Unknown keys are rejected and all validation problems are
+reported at once as a JSON error object on stderr.  Exit codes: 0 success,
+2 config error, 3 numerical blowup (after the outputs are written), 4 I/O
+error.  Identical config + seed reproduces byte-identical
 CSV output (floats are written with 17 significant digits).
 """
 
@@ -16,13 +17,15 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
 from . import experiments as xp
 from .evolve import (
     SolverConfig,
+    Trajectory,
     default_dt,
     evolve,
     make_front_equation,
@@ -130,38 +133,36 @@ class ConfigError(Exception):
 
 
 def resolve_config(schema: list[Key], args: argparse.Namespace) -> dict:
-    """Merge defaults <- config file <- CLI flags, validating everything at once."""
+    """Merge defaults <- config file <- CLI flags, validating everything at once.
+
+    File and flag values are the same raw strings, parsed by one parser.
+    """
     by_name = {k.name: k for k in schema}
     violations: list[str] = []
-    merged: dict = {k.name: k.default for k in schema}
-    provided: set[str] = set()
+    raw: dict[str, str] = {}
 
     if getattr(args, "config", None):
         try:
-            raw = read_config_file(args.config)
+            from_file = read_config_file(args.config)
         except OSError as err:
             raise ConfigError([f"cannot read config file: {err}"]) from err
         except ValueError as err:
             raise ConfigError([str(err)]) from err
-        for key, rawval in raw.items():
-            if key not in by_name:
+        for key, text in from_file.items():
+            if key in by_name:
+                raw[key] = text
+            else:
                 violations.append(f"unknown key '{key}'")
-                continue
-            try:
-                merged[key] = _parse_value(by_name[key].kind, rawval)
-                provided.add(key)
-            except ValueError:
-                violations.append(f"key '{key}': cannot parse '{rawval}' as {by_name[key].kind}")
+    raw.update({k: getattr(args, k) for k in by_name if getattr(args, k, None) is not None})
 
-    for key in by_name:
-        flag = key.replace("-", "_")
-        val = getattr(args, flag, None)
-        if val is not None:
-            merged[key] = val
-            provided.add(key)
-
+    merged: dict = {k.name: k.default for k in schema}
+    for key, text in raw.items():
+        try:
+            merged[key] = _parse_value(by_name[key].kind, text)
+        except ValueError:
+            violations.append(f"key '{key}': cannot parse '{text}' as {by_name[key].kind}")
     for key in schema:
-        if key.required and key.name not in provided:
+        if key.required and key.name not in raw:
             violations.append(f"missing required key '{key.name}'")
     if violations:
         raise ConfigError(violations)
@@ -171,19 +172,9 @@ def resolve_config(schema: list[Key], args: argparse.Namespace) -> dict:
 def _add_schema_flags(parser: argparse.ArgumentParser, schema: list[Key]) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--out", help="output directory (default: namespaced under $%s or ./runs)" % OUTPUT_DIR_ENV)
-    types = {"int": int, "float": float, "str": str}
     for key in schema:
-        flag = "--" + key.name.replace("_", "-")
-        if key.kind in types:
-            parser.add_argument(flag, dest=key.name, type=types[key.kind], help=key.help)
-        else:
-            elem = float if key.kind == "floats" else int
-            parser.add_argument(
-                flag,
-                dest=key.name,
-                type=lambda s, e=elem: [e(p) for p in s.split(",") if p.strip()],
-                help=key.help + " (comma separated)",
-            )
+        listed = " (comma separated)" if key.kind in ("floats", "ints") else ""
+        parser.add_argument("--" + key.name.replace("_", "-"), dest=key.name, help=key.help + listed)
 
 
 def _output_dir(args: argparse.Namespace, subcommand: str) -> str:
@@ -205,158 +196,71 @@ def _initial_condition(grid, cfg) -> SpectralField:
     raise ConfigError([f"key 'ic': expected 'random' or 'cosine', got '{cfg['ic']}'"])
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-_EVOLVE_KEYS = [
-    Key("n_modes", "int", required=True, help="basis truncation"),
-    Key("dt", "float", help="time step (default scales with the period)"),
-    Key("t_end", "float", required=True, help="final time"),
-    Key("output_stride", "int", default=1, help="snapshot every this many steps"),
-    Key("ic", "str", default="random", help="initial condition: random | cosine"),
-    Key("amplitude", "float", default=1e-3, help="initial amplitude"),
-    Key("seed", "int", default=0, help="seed for random initial data"),
-    Key("harmonic", "int", default=1, help="cosine harmonic index"),
-    Key("phase", "float", default=0.0, help="cosine phase"),
-]
-
-SCHEMAS: dict[str, list[Key]] = {
-    "symbols": [
-        Key("ell", "float", required=True, help="spatial period"),
-        Key("n_modes", "int", required=True),
-        Key("alpha", "float", help="front parameter (unrescaled table)"),
-        Key("epsilon", "float", help="slow-scale parameter (rescaled table)"),
-    ],
-    "evolve-front": [Key("ell", "float", required=True), Key("alpha", "float", required=True)]
-    + _EVOLVE_KEYS,
-    "evolve-ks": [Key("ell0", "float", required=True)] + _EVOLVE_KEYS,
-    "evolve-rescaled": [
-        Key("ell0", "float", required=True),
-        Key("epsilon", "float", required=True),
-    ]
-    + _EVOLVE_KEYS,
-    "profiles": [
-        Key("ell", "float", required=True),
-        Key("alpha", "float", required=True),
-        Key("k", "int", required=True, help="mode index (0 for the mean mode)"),
-        Key("phi", "float", required=True, help="front coefficient"),
-        Key("phiy_sq", "float", default=0.0, help="squared-slope coefficient"),
-        Key("phi_t", "float", help="front time derivative (default: from the front law)"),
-        Key("x_min", "float", default=-10.0),
-        Key("x_max", "float", default=5.0),
-        Key("x_count", "int", default=301),
-    ],
-    "stability-scan": [
-        Key("ell", "float", required=True),
-        Key("n_modes", "int", required=True),
-        Key("alphas", "floats", required=True),
-        Key("amplitude", "float", default=1e-4),
-        Key("t_end", "float", required=True),
-        Key("dt", "float", required=True),
-        Key("seed", "int", default=0),
-        Key("output_stride", "int", default=1),
-    ],
-    "convergence": [
-        Key("ell0", "float", required=True),
-        Key("n_modes", "int", required=True),
-        Key("t_end", "float", required=True),
-        Key("epsilons", "floats", required=True),
-        Key("dt", "float", required=True),
-        Key("amplitude", "float", default=0.1),
-        Key("harmonic", "int", default=1),
-        Key("output_stride", "int", default=10),
-    ],
-    "energy": [
-        Key("ell0", "float", required=True),
-        Key("n_modes", "int", required=True),
-        Key("epsilon", "float", required=True),
-        Key("t_end", "float", required=True),
-        Key("dt", "float", required=True),
-        Key("order", "int", default=0, help="derivative order of the functional"),
-        Key("amplitude", "float", default=0.1),
-        Key("harmonic", "int", default=1),
-        Key("output_stride", "int", default=10),
-    ],
-    "ks-apriori": [
-        Key("ell0", "float", required=True),
-        Key("n_modes", "int", required=True),
-        Key("t_end", "float", required=True),
-        Key("dt", "float", required=True),
-        Key("ic", "str", default="cosine"),
-        Key("amplitude", "float", default=0.1),
-        Key("seed", "int", default=0),
-        Key("harmonic", "int", default=1),
-        Key("phase", "float", default=0.0),
-        Key("output_stride", "int", default=10),
-    ],
-    "galerkin": [
-        Key("equation", "str", default="ks", help="ks | front | rescaled"),
-        Key("ell", "float", required=True),
-        Key("n_list", "ints", required=True),
-        Key("t_end", "float", required=True),
-        Key("dt", "float", required=True),
-        Key("alpha", "float", help="front parameter (equation=front)"),
-        Key("epsilon", "float", help="slow-scale parameter (equation=rescaled)"),
-        Key("amplitude", "float", default=1.0),
-        Key("harmonic", "int", default=1),
-        Key("output_stride", "int", default=10),
-    ],
+# equation name -> (its parameter key, or None, and (parameter, grid) -> descriptor)
+_EQUATIONS = {
+    "front": ("alpha", make_front_equation),
+    "ks": (None, lambda _, grid: make_ks_equation(grid)),
+    "rescaled": ("epsilon", make_rescaled_equation),
 }
+
+
+def _equation(name: str, cfg: dict):
+    """The grid -> descriptor map of one equation, its parameter taken from cfg."""
+    if name not in _EQUATIONS:
+        raise ConfigError([f"key 'equation': expected ks|front|rescaled, got '{name}'"])
+    key, make = _EQUATIONS[name]
+    if key is not None and cfg[key] is None:
+        raise ConfigError([f"key '{key}' is required when equation={name}"])
+    return lambda grid: make(cfg[key] if key else None, grid)
+
+
+def _single_run(equation: str, cfg: dict) -> Trajectory:
+    """One evolve call on the period, truncation, initial field and step of cfg."""
+    grid = make_grid(cfg["ell"] if "ell" in cfg else cfg["ell0"], cfg["n_modes"])
+    return evolve(
+        SolverConfig(
+            descriptor=_equation(equation, cfg)(grid),
+            initial_condition=_initial_condition(grid, cfg),
+            dt=cfg["dt"] if cfg["dt"] is not None else default_dt(grid),
+            t_end=cfg["t_end"],
+            output_stride=cfg["output_stride"],
+        )
+    )
+
+
+# ---------------------------------------------------------------------------
+# subcommands with their own outputs: run(cfg, outdir) -> exit code
 
 
 def _cmd_symbols(cfg, outdir) -> int:
     grid = make_grid(cfg["ell"], cfg["n_modes"])
-    path = os.path.join(outdir, "symbols.csv")
     if (cfg["alpha"] is None) == (cfg["epsilon"] is None):
         raise ConfigError(["exactly one of 'alpha' and 'epsilon' must be given"])
     if cfg["alpha"] is not None:
-        t = build_symbols(cfg["alpha"], grid)
-        write_csv(
-            path,
-            ["k", "lambda", "X", "b", "s", "f", "l", "g"],
-            zip(
-                range(grid.n_modes),
-                grid.eigenvalues,
-                t.sqrt_factor,
-                t.mass,
-                t.stiffness,
-                t.quad_filter,
-                t.growth_rate,
-                t.quad_gain,
-            ),
-        )
+        table = build_symbols(cfg["alpha"], grid)
+        extra = {"l": "growth_rate", "g": "quad_gain"}
     else:
-        t = build_rescaled_symbols(cfg["epsilon"], grid)
-        write_csv(
-            path,
-            ["k", "lambda", "X", "b", "s", "f", "h", "m", "r"],
-            zip(
-                range(grid.n_modes),
-                grid.eigenvalues,
-                t.sqrt_factor,
-                t.mass,
-                t.stiffness,
-                t.quad_filter,
-                t.mass_correction,
-                t.quad_correction,
-                t.sqrt_shift,
-            ),
-        )
+        table = build_rescaled_symbols(cfg["epsilon"], grid)
+        extra = {"h": "mass_correction", "m": "quad_correction", "r": "sqrt_shift"}
+    columns = {"X": "sqrt_factor", "b": "mass", "s": "stiffness", "f": "quad_filter", **extra}
+    path = os.path.join(outdir, "symbols.csv")
+    write_csv(
+        path,
+        ["k", "lambda", *columns],
+        zip(range(grid.n_modes), grid.eigenvalues, *(getattr(table, f) for f in columns.values())),
+    )
     print(path)
     return EXIT_OK
 
 
-def _write_trajectory(outdir, traj, cfg_echo) -> int:
-    rows = (
-        [t] + list(row)
-        for t, row in zip(traj.times, traj.coeffs)
-    )
+def _cmd_evolve(equation, cfg, outdir) -> int:
+    traj = _single_run(equation, cfg)
     header = ["time"] + [f"a{k}" for k in range(traj.grid.n_modes)]
     csv_path = os.path.join(outdir, "trajectory.csv")
-    write_csv(csv_path, header, rows)
+    write_csv(csv_path, header, ([t] + list(row) for t, row in zip(traj.times, traj.coeffs)))
     summary = {
         "label": traj.descriptor.label,
-        "config": cfg_echo,
+        "config": cfg,
         "times": traj.times,
         "l2": traj.diagnostics["l2"],
         "mean": traj.diagnostics["mean"],
@@ -367,29 +271,6 @@ def _write_trajectory(outdir, traj, cfg_echo) -> int:
     write_json(os.path.join(outdir, "summary.json"), summary)
     print(csv_path)
     return EXIT_BLOWUP if traj.blown_up else EXIT_OK
-
-
-def _cmd_evolve(name, cfg, outdir) -> int:
-    if name == "evolve-front":
-        grid = make_grid(cfg["ell"], cfg["n_modes"])
-        descriptor = make_front_equation(cfg["alpha"], grid)
-    elif name == "evolve-ks":
-        grid = make_grid(cfg["ell0"], cfg["n_modes"])
-        descriptor = make_ks_equation(grid)
-    else:
-        grid = make_grid(cfg["ell0"], cfg["n_modes"])
-        descriptor = make_rescaled_equation(cfg["epsilon"], grid)
-    dt = cfg["dt"] if cfg["dt"] is not None else default_dt(grid)
-    traj = evolve(
-        SolverConfig(
-            descriptor=descriptor,
-            initial_condition=_initial_condition(grid, cfg),
-            dt=dt,
-            t_end=cfg["t_end"],
-            output_stride=cfg["output_stride"],
-        )
-    )
-    return _write_trajectory(outdir, traj, cfg)
 
 
 def _cmd_profiles(cfg, outdir) -> int:
@@ -438,158 +319,44 @@ def _cmd_profiles(cfg, outdir) -> int:
     return EXIT_OK
 
 
-def _cmd_stability_scan(cfg, outdir) -> int:
-    report = xp.run_stability_scan(
-        ell=cfg["ell"],
-        alphas=cfg["alphas"],
-        amplitude=cfg["amplitude"],
-        t_end=cfg["t_end"],
-        n_modes=cfg["n_modes"],
-        dt=cfg["dt"],
-        seed=cfg["seed"],
-        output_stride=cfg["output_stride"],
-    )
-    csv_path = os.path.join(outdir, "scan.csv")
-    write_csv(
-        csv_path,
-        ["alpha", "measured_rate", "predicted_rate", "verdict"],
-        zip(report.alphas, report.measured_rates, report.predicted_rates, report.verdicts),
-    )
-    write_json(
-        os.path.join(outdir, "report.json"),
-        {
-            "ell": report.ell,
-            "alpha_c": report.alpha_c,
-            "alphas": report.alphas,
-            "measured_rates": report.measured_rates,
-            "predicted_rates": report.predicted_rates,
-            "verdicts": report.verdicts,
-            "anomalies": report.anomalies,
-            "config": cfg,
-        },
-    )
-    print(csv_path)
-    return EXIT_OK
+# ---------------------------------------------------------------------------
+# report studies: run(cfg) -> (report dataclass, blew up), written by _write_report
 
 
-def _cmd_convergence(cfg, outdir) -> int:
+def _convergence(cfg, epsilons) -> xp.ConvergenceStudy:
     grid = make_grid(cfg["ell0"], cfg["n_modes"])
-    phi0 = cosine_field(grid, cfg["amplitude"], cfg["harmonic"])
-    study = xp.run_convergence_study(
+    return xp.run_convergence_study(
         ell0=cfg["ell0"],
-        phi0=phi0,
+        phi0=cosine_field(grid, cfg["amplitude"], cfg["harmonic"]),
         t_end=cfg["t_end"],
-        epsilons=sorted(cfg["epsilons"], reverse=True),
+        epsilons=epsilons,
         dt=cfg["dt"],
         output_stride=cfg["output_stride"],
     )
-    rep = study.report
-    csv_path = os.path.join(outdir, "convergence.csv")
-    write_csv(
-        csv_path,
-        ["epsilon", "sup_error", "ratio", "zeta_sup_l2"],
-        zip(rep.epsilons, rep.sup_errors, rep.ratios, rep.zeta_sup_l2),
-    )
-    write_json(
-        os.path.join(outdir, "report.json"),
-        {
-            "ell0": rep.ell0,
-            "t_end": rep.t_end,
-            "epsilons": rep.epsilons,
-            "sup_errors": rep.sup_errors,
-            "ratios": rep.ratios,
-            "fitted_order": rep.fitted_order,
-            "zeta_sup_l2": rep.zeta_sup_l2,
-            "blowups": rep.blowups,
-            "config": cfg,
-        },
-    )
-    print(csv_path)
-    return EXIT_BLOWUP if rep.blowups else EXIT_OK
 
 
-def _cmd_energy(cfg, outdir) -> int:
-    grid = make_grid(cfg["ell0"], cfg["n_modes"])
-    phi0 = cosine_field(grid, cfg["amplitude"], cfg["harmonic"])
-    study = xp.run_convergence_study(
-        ell0=cfg["ell0"],
-        phi0=phi0,
-        t_end=cfg["t_end"],
-        epsilons=[cfg["epsilon"]],
-        dt=cfg["dt"],
-        output_stride=cfg["output_stride"],
-    )
+def _run_convergence(cfg):
+    report = _convergence(cfg, sorted(cfg["epsilons"], reverse=True)).report
+    return report, bool(report.blowups)
+
+
+def _run_energy(cfg):
+    eps = cfg["epsilon"]
+    study = _convergence(cfg, [eps])
     trace = xp.run_energy_monitor(
-        study.rescaled_trajectories[cfg["epsilon"]],
-        study.ks_trajectory,
-        cfg["epsilon"],
-        cfg["order"],
+        study.rescaled_trajectories[eps], study.ks_trajectory, eps, cfg["order"]
     )
-    csv_path = os.path.join(outdir, "energy.csv")
-    write_csv(csv_path, ["tau", "energy"], zip(trace.times, trace.values))
-    write_json(
-        os.path.join(outdir, "report.json"),
-        {
-            "epsilon": trace.epsilon,
-            "order": trace.order,
-            "observed_bound": trace.observed_bound,
-            "config": cfg,
-        },
-    )
-    print(csv_path)
-    return EXIT_OK
+    return trace, bool(study.report.blowups)
 
 
-def _cmd_ks_apriori(cfg, outdir) -> int:
-    grid = make_grid(cfg["ell0"], cfg["n_modes"])
-    traj = evolve(
-        SolverConfig(
-            descriptor=make_ks_equation(grid),
-            initial_condition=_initial_condition(grid, cfg),
-            dt=cfg["dt"],
-            t_end=cfg["t_end"],
-            output_stride=cfg["output_stride"],
-        )
-    )
-    if traj.blown_up:
-        return EXIT_BLOWUP
-    report = xp.run_ks_apriori_check(traj)
-    csv_path = os.path.join(outdir, "apriori.csv")
-    write_csv(
-        csv_path,
-        ["tau", "slope_norm", "slope_bound", "mean_abs", "mean_bound"],
-        zip(report.times, report.slope_norms, report.slope_bounds, report.mean_abs, report.mean_bounds),
-    )
-    write_json(
-        os.path.join(outdir, "report.json"),
-        {
-            "slope_bound_ok": report.slope_bound_ok,
-            "mean_bound_ok": report.mean_bound_ok,
-            "min_slope_margin": report.min_slope_margin,
-            "min_mean_margin": report.min_mean_margin,
-            "config": cfg,
-        },
-    )
-    print(csv_path)
-    return EXIT_OK
+def _run_ks_apriori(cfg):
+    traj = _single_run("ks", cfg)
+    return xp.run_ks_apriori_check(traj), traj.blown_up
 
 
-def _cmd_galerkin(cfg, outdir) -> int:
-    eq = cfg["equation"]
-    if eq == "ks":
-        make_desc = make_ks_equation
-    elif eq == "front":
-        if cfg["alpha"] is None:
-            raise ConfigError(["key 'alpha' is required when equation=front"])
-        make_desc = lambda g: make_front_equation(cfg["alpha"], g)
-    elif eq == "rescaled":
-        if cfg["epsilon"] is None:
-            raise ConfigError(["key 'epsilon' is required when equation=rescaled"])
-        make_desc = lambda g: make_rescaled_equation(cfg["epsilon"], g)
-    else:
-        raise ConfigError([f"key 'equation': expected ks|front|rescaled, got '{eq}'"])
+def _run_galerkin(cfg):
     report = xp.run_galerkin_refinement(
-        make_descriptor=make_desc,
+        make_descriptor=_equation(cfg["equation"], cfg),
         initial=lambda g: cosine_field(g, cfg["amplitude"], cfg["harmonic"]),
         period=cfg["ell"],
         n_list=cfg["n_list"],
@@ -597,24 +364,183 @@ def _cmd_galerkin(cfg, outdir) -> int:
         dt=cfg["dt"],
         output_stride=cfg["output_stride"],
     )
-    csv_path = os.path.join(outdir, "galerkin.csv")
-    write_csv(
-        csv_path,
-        ["n_coarse", "n_fine", "final_diff"],
-        zip(report.n_list[:-1], report.n_list[1:], report.final_diffs),
-    )
-    write_json(
-        os.path.join(outdir, "report.json"),
-        {
-            "n_list": report.n_list,
-            "final_diffs": report.final_diffs,
-            "max_l2": report.max_l2,
-            "blowups": report.blowups,
-            "config": cfg,
-        },
-    )
+    return report, bool(report.blowups)
+
+
+def _write_report(study: Study, report, blew_up: bool, cfg: dict, outdir: str) -> int:
+    """CSV from the study's columns; report.json is every report field but trajectories."""
+    csv_path = os.path.join(outdir, study.csv)
+    columns = [c(report) if callable(c) else getattr(report, c) for c in study.columns.values()]
+    write_csv(csv_path, list(study.columns), zip(*columns))
+    payload = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "trajectories"}
+    write_json(os.path.join(outdir, "report.json"), {**payload, "config": cfg})
     print(csv_path)
-    return EXIT_BLOWUP if report.blowups else EXIT_OK
+    return EXIT_BLOWUP if blew_up else EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# the study table
+
+
+@dataclass(frozen=True)
+class Study:
+    """One subcommand: its config keys, what it runs and, for report studies, its CSV.
+
+    With ``csv`` set, ``run(cfg)`` returns ``(report, blew_up)`` and
+    ``_write_report`` writes it, ``columns`` mapping each CSV header to a
+    report field name or a getter.  Without it, ``run(cfg, outdir)`` writes
+    its own outputs and returns the exit code.  A ``run`` looks up the
+    module attributes it calls at call time, so wrappers set on them are seen.
+    """
+
+    keys: list[Key]
+    run: Callable
+    csv: str | None = None
+    columns: dict[str, str | Callable] | None = None
+
+
+_EVOLVE_KEYS = [
+    Key("n_modes", "int", required=True, help="basis truncation"),
+    Key("dt", "float", help="time step (default scales with the period)"),
+    Key("t_end", "float", required=True, help="final time"),
+    Key("output_stride", "int", default=1, help="snapshot every this many steps"),
+    Key("ic", "str", default="random", help="initial condition: random | cosine"),
+    Key("amplitude", "float", default=1e-3, help="initial amplitude"),
+    Key("seed", "int", default=0, help="seed for random initial data"),
+    Key("harmonic", "int", default=1, help="cosine harmonic index"),
+    Key("phase", "float", default=0.0, help="cosine phase"),
+]
+
+STUDIES: dict[str, Study] = {
+    "symbols": Study(
+        [
+            Key("ell", "float", required=True, help="spatial period"),
+            Key("n_modes", "int", required=True),
+            Key("alpha", "float", help="front parameter (unrescaled table)"),
+            Key("epsilon", "float", help="slow-scale parameter (rescaled table)"),
+        ],
+        _cmd_symbols,
+    ),
+    "evolve-front": Study(
+        [Key("ell", "float", required=True), Key("alpha", "float", required=True)] + _EVOLVE_KEYS,
+        lambda cfg, outdir: _cmd_evolve("front", cfg, outdir),
+    ),
+    "evolve-ks": Study(
+        [Key("ell0", "float", required=True)] + _EVOLVE_KEYS,
+        lambda cfg, outdir: _cmd_evolve("ks", cfg, outdir),
+    ),
+    "evolve-rescaled": Study(
+        [Key("ell0", "float", required=True), Key("epsilon", "float", required=True)]
+        + _EVOLVE_KEYS,
+        lambda cfg, outdir: _cmd_evolve("rescaled", cfg, outdir),
+    ),
+    "profiles": Study(
+        [
+            Key("ell", "float", required=True),
+            Key("alpha", "float", required=True),
+            Key("k", "int", required=True, help="mode index (0 for the mean mode)"),
+            Key("phi", "float", required=True, help="front coefficient"),
+            Key("phiy_sq", "float", default=0.0, help="squared-slope coefficient"),
+            Key("phi_t", "float", help="front time derivative (default: from the front law)"),
+            Key("x_min", "float", default=-10.0),
+            Key("x_max", "float", default=5.0),
+            Key("x_count", "int", default=301),
+        ],
+        _cmd_profiles,
+    ),
+    # the keys are run_stability_scan's parameters, looked up when the scan runs
+    "stability-scan": Study(
+        [
+            Key("ell", "float", required=True),
+            Key("n_modes", "int", required=True),
+            Key("alphas", "floats", required=True),
+            Key("amplitude", "float", default=1e-4),
+            Key("t_end", "float", required=True),
+            Key("dt", "float", required=True),
+            Key("seed", "int", default=0),
+            Key("output_stride", "int", default=1),
+        ],
+        lambda cfg: (xp.run_stability_scan(**cfg), False),
+        "scan.csv",
+        {
+            "alpha": "alphas",
+            "measured_rate": "measured_rates",
+            "predicted_rate": "predicted_rates",
+            "verdict": "verdicts",
+        },
+    ),
+    "convergence": Study(
+        [
+            Key("ell0", "float", required=True),
+            Key("n_modes", "int", required=True),
+            Key("t_end", "float", required=True),
+            Key("epsilons", "floats", required=True),
+            Key("dt", "float", required=True),
+            Key("amplitude", "float", default=0.1),
+            Key("harmonic", "int", default=1),
+            Key("output_stride", "int", default=10),
+        ],
+        _run_convergence,
+        "convergence.csv",
+        {"epsilon": "epsilons", "sup_error": "sup_errors", "ratio": "ratios", "zeta_sup_l2": "zeta_sup_l2"},
+    ),
+    "energy": Study(
+        [
+            Key("ell0", "float", required=True),
+            Key("n_modes", "int", required=True),
+            Key("epsilon", "float", required=True),
+            Key("t_end", "float", required=True),
+            Key("dt", "float", required=True),
+            Key("order", "int", default=0, help="derivative order of the functional"),
+            Key("amplitude", "float", default=0.1),
+            Key("harmonic", "int", default=1),
+            Key("output_stride", "int", default=10),
+        ],
+        _run_energy,
+        "energy.csv",
+        {"tau": "times", "energy": "values"},
+    ),
+    "ks-apriori": Study(
+        [
+            Key("ell0", "float", required=True),
+            Key("n_modes", "int", required=True),
+            Key("t_end", "float", required=True),
+            Key("dt", "float", required=True),
+            Key("ic", "str", default="cosine"),
+            Key("amplitude", "float", default=0.1),
+            Key("seed", "int", default=0),
+            Key("harmonic", "int", default=1),
+            Key("phase", "float", default=0.0),
+            Key("output_stride", "int", default=10),
+        ],
+        _run_ks_apriori,
+        "apriori.csv",
+        {
+            "tau": "times",
+            "slope_norm": "slope_norms",
+            "slope_bound": "slope_bounds",
+            "mean_abs": "mean_abs",
+            "mean_bound": "mean_bounds",
+        },
+    ),
+    "galerkin": Study(
+        [
+            Key("equation", "str", default="ks", help="ks | front | rescaled"),
+            Key("ell", "float", required=True),
+            Key("n_list", "ints", required=True),
+            Key("t_end", "float", required=True),
+            Key("dt", "float", required=True),
+            Key("alpha", "float", help="front parameter (equation=front)"),
+            Key("epsilon", "float", help="slow-scale parameter (equation=rescaled)"),
+            Key("amplitude", "float", default=1.0),
+            Key("harmonic", "int", default=1),
+            Key("output_stride", "int", default=10),
+        ],
+        _run_galerkin,
+        "galerkin.csv",
+        {"n_coarse": lambda r: r.n_list[:-1], "n_fine": lambda r: r.n_list[1:], "final_diff": "final_diffs"},
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -623,52 +549,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pseudospectral front-equation / Kuramoto-Sivashinsky toolkit",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, schema in SCHEMAS.items():
-        p = sub.add_parser(name)
-        _add_schema_flags(p, schema)
+    for name, study in STUDIES.items():
+        _add_schema_flags(sub.add_parser(name), study.keys)
     return parser
+
+
+def _error(code: int, **payload) -> int:
+    """Report a failure as one JSON object on stderr and return its exit code."""
+    json.dump(payload, sys.stderr)
+    sys.stderr.write("\n")
+    return code
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    name = args.subcommand
+    study = STUDIES[args.subcommand]
     try:
-        cfg = resolve_config(SCHEMAS[name], args)
+        cfg = resolve_config(study.keys, args)
+        outdir = _output_dir(args, args.subcommand)
+        if study.csv is None:
+            return study.run(cfg, outdir)
+        return _write_report(study, *study.run(cfg), cfg, outdir)
     except ConfigError as err:
-        json.dump({"error": "config", "violations": err.violations}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_CONFIG
-    try:
-        outdir = _output_dir(args, name)
-        if name == "symbols":
-            return _cmd_symbols(cfg, outdir)
-        if name in ("evolve-front", "evolve-ks", "evolve-rescaled"):
-            return _cmd_evolve(name, cfg, outdir)
-        if name == "profiles":
-            return _cmd_profiles(cfg, outdir)
-        if name == "stability-scan":
-            return _cmd_stability_scan(cfg, outdir)
-        if name == "convergence":
-            return _cmd_convergence(cfg, outdir)
-        if name == "energy":
-            return _cmd_energy(cfg, outdir)
-        if name == "ks-apriori":
-            return _cmd_ks_apriori(cfg, outdir)
-        if name == "galerkin":
-            return _cmd_galerkin(cfg, outdir)
-        raise AssertionError(name)
-    except ConfigError as err:
-        json.dump({"error": "config", "violations": err.violations}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_CONFIG
-    except (ValueError,) as err:
-        json.dump({"error": "config", "violations": [str(err)]}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_CONFIG
+        return _error(EXIT_CONFIG, error="config", violations=err.violations)
+    except ValueError as err:
+        return _error(EXIT_CONFIG, error="config", violations=[str(err)])
     except OSError as err:
-        json.dump({"error": "io", "detail": str(err)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_IO
+        return _error(EXIT_IO, error="io", detail=str(err))
 
 
 if __name__ == "__main__":

@@ -5,7 +5,12 @@ import json
 import numpy as np
 import pytest
 
+import frontks.cli
+import frontks.experiments
 from frontks.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, main, read_config_file
+
+# settings under which every K-S and slow-scale run blows up within a few steps
+BLOWUP_ARGS = ["--ell0", "80", "--n-modes", "64", "--t-end", "50", "--dt", "5", "--amplitude", "50"]
 
 
 def _read_csv(path):
@@ -62,6 +67,26 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
     assert any("whatever" in v for v in err["violations"])
+
+
+def test_unparseable_flag_is_a_config_error(tmp_path, capsys):
+    rc = main(["symbols", "--ell", "6.28", "--n-modes", "abc", "--alpha", "1.0", "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert err["violations"] == ["key 'n_modes': cannot parse 'abc' as int"]
+
+
+def test_list_flags_accept_semicolons_like_config_files(tmp_path):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("ell = 12.566370614359172\nn_modes = 16\nalphas = 1.8;2.2\nt_end = 1.0\ndt = 0.1\n")
+    flags = ["--ell", "12.566370614359172", "--n-modes", "16", "--t-end", "1.0", "--dt", "0.1"]
+    out_file, out_flag = tmp_path / "file", tmp_path / "flag"
+    assert main(["stability-scan", "--config", str(cfg), "--out", str(out_file)]) == EXIT_OK
+    assert main(["stability-scan", *flags, "--alphas", "1.8;2.2", "--out", str(out_flag)]) == EXIT_OK
+    report = json.loads((out_flag / "report.json").read_text())
+    assert report["alphas"] == [1.8, 2.2]
+    assert (out_flag / "scan.csv").read_bytes() == (out_file / "scan.csv").read_bytes()
 
 
 def test_config_file_parsing_and_flag_override(tmp_path):
@@ -165,6 +190,24 @@ def test_energy_cli(tmp_path):
     assert float(rows[0][1]) == 0.0  # null remainder at tau = 0
 
 
+def test_energy_blowup_exit_code(tmp_path):
+    out = tmp_path / "en"
+    rc = main(["energy", *BLOWUP_ARGS, "--epsilon", "0.1", "--out", str(out)])
+    assert rc == EXIT_BLOWUP
+    assert (out / "energy.csv").exists()
+
+
+def test_ks_apriori_blowup_writes_outputs_then_exit_code(tmp_path):
+    out = tmp_path / "ap"
+    rc = main(["ks-apriori", *BLOWUP_ARGS, "--out", str(out)])
+    assert rc == EXIT_BLOWUP
+    header, rows = _read_csv(out / "apriori.csv")
+    assert header == ["tau", "slope_norm", "slope_bound", "mean_abs", "mean_bound"]
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["times"]) == len(rows) >= 1
+    assert report["config"]["dt"] == 5.0
+
+
 def test_ks_apriori_cli(tmp_path):
     out = tmp_path / "ap"
     rc = main([
@@ -216,3 +259,33 @@ def test_default_output_dirs_do_not_collide_within_one_second(tmp_path, monkeypa
     runs = sorted((tmp_path / "base").iterdir())
     assert len(runs) == 2
     assert all((run / "symbols.csv").exists() for run in runs)
+
+
+def test_benchmark_layer_boundaries_are_module_attributes(tmp_path, monkeypatch):
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(frontks.cli, "_cmd_evolve")
+    count(frontks.cli, "evolve")
+    count(frontks.cli, "write_csv")
+    count(frontks.experiments, "run_stability_scan")
+    rc = main([
+        "evolve-rescaled", "--ell0", "31.41592653589793", "--epsilon", "0.04", "--n-modes", "16",
+        "--t-end", "0.01", "--dt", "0.001", "--out", str(tmp_path / "dense"),
+    ])
+    assert rc == EXIT_OK
+    assert calls == {"_cmd_evolve": 1, "evolve": 1, "write_csv": 1}
+    rc = main([
+        "stability-scan", "--ell", "12.566370614359172", "--n-modes", "16",
+        "--alphas", "1.8,2.2", "--t-end", "1.0", "--dt", "0.1", "--out", str(tmp_path / "scan"),
+    ])
+    assert rc == EXIT_OK
+    assert calls == {"_cmd_evolve": 1, "evolve": 1, "write_csv": 2, "run_stability_scan": 1}

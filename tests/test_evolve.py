@@ -157,6 +157,18 @@ def test_evolve_blowup_flagged_not_raised():
     assert len(traj.times) < 101
 
 
+def test_evolve_non_finite_initial_state_blows_up_at_time_zero():
+    grid = make_grid(TWO_PI, 8)
+    bad = np.zeros(8)
+    bad[3] = np.nan
+    traj = evolve(
+        SolverConfig(make_ks_equation(grid), SpectralField(grid, bad), dt=0.01, t_end=0.1)
+    )
+    assert len(traj.times) == 1
+    assert traj.blown_up
+    assert traj.blowup_time == 0.0
+
+
 def test_solver_config_validation():
     grid = make_grid(TWO_PI, 8)
     other = make_grid(TWO_PI, 12)
