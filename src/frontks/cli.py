@@ -66,21 +66,9 @@ def write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=lambda o: o.tolist())
         fh.write("\n")
 
 
@@ -88,13 +76,34 @@ def write_json(path: str, payload: dict) -> None:
 # config schema and validation
 
 
-@dataclass(frozen=True)
-class Key:
-    name: str
-    kind: str  # "int" | "float" | "str" | "floats" | "ints"
-    required: bool = False
-    default: object = None
-    help: str = ""
+# key -> (kind, help); kind is int | float | str | floats | ints (lists take , or ;)
+KEYS: dict[str, tuple[str, str]] = {
+    "ell": ("float", "spatial period"),
+    "ell0": ("float", "spatial period of the slow frame"),
+    "n_modes": ("int", "basis truncation"),
+    "n_list": ("ints", "increasing basis truncations"),
+    "equation": ("str", "ks | front | rescaled"),
+    "alpha": ("float", "front parameter"),
+    "alphas": ("floats", "front parameters to scan"),
+    "epsilon": ("float", "slow-scale parameter"),
+    "epsilons": ("floats", "decreasing slow-scale parameters"),
+    "t_end": ("float", "final time"),
+    "dt": ("float", "time step (evolve-*: default scales with the squared period)"),
+    "output_stride": ("int", "snapshot every this many steps"),
+    "ic": ("str", "initial condition: random | cosine"),
+    "amplitude": ("float", "initial amplitude"),
+    "seed": ("int", "seed for random initial data"),
+    "harmonic": ("int", "cosine harmonic index"),
+    "phase": ("float", "cosine phase"),
+    "order": ("int", "derivative order of the functional"),
+    "k": ("int", "mode index (0 for the mean mode)"),
+    "phi": ("float", "front coefficient"),
+    "phiy_sq": ("float", "squared-slope coefficient"),
+    "phi_t": ("float", "front time derivative (default: from the front law)"),
+    "x_min": ("float", "left end of the profile grid"),
+    "x_max": ("float", "right end of the profile grid"),
+    "x_count": ("int", "number of profile grid points"),
+}
 
 
 def _parse_value(kind: str, raw: str):
@@ -132,12 +141,12 @@ class ConfigError(Exception):
         super().__init__("; ".join(violations))
 
 
-def resolve_config(schema: list[Key], args: argparse.Namespace) -> dict:
+def resolve_config(study: Study, args: argparse.Namespace) -> dict:
     """Merge defaults <- config file <- CLI flags, validating everything at once.
 
     File and flag values are the same raw strings, parsed by one parser.
     """
-    by_name = {k.name: k for k in schema}
+    merged = dict.fromkeys(study.required) | study.optional
     violations: list[str] = []
     raw: dict[str, str] = {}
 
@@ -149,32 +158,31 @@ def resolve_config(schema: list[Key], args: argparse.Namespace) -> dict:
         except ValueError as err:
             raise ConfigError([str(err)]) from err
         for key, text in from_file.items():
-            if key in by_name:
+            if key in merged:
                 raw[key] = text
             else:
                 violations.append(f"unknown key '{key}'")
-    raw.update({k: getattr(args, k) for k in by_name if getattr(args, k, None) is not None})
+    raw.update({k: getattr(args, k) for k in merged if getattr(args, k, None) is not None})
 
-    merged: dict = {k.name: k.default for k in schema}
     for key, text in raw.items():
+        kind = KEYS[key][0]
         try:
-            merged[key] = _parse_value(by_name[key].kind, text)
+            merged[key] = _parse_value(kind, text)
         except ValueError:
-            violations.append(f"key '{key}': cannot parse '{text}' as {by_name[key].kind}")
-    for key in schema:
-        if key.required and key.name not in raw:
-            violations.append(f"missing required key '{key.name}'")
+            violations.append(f"key '{key}': cannot parse '{text}' as {kind}")
+    violations += [f"missing required key '{k}'" for k in study.required if k not in raw]
     if violations:
         raise ConfigError(violations)
     return merged
 
 
-def _add_schema_flags(parser: argparse.ArgumentParser, schema: list[Key]) -> None:
+def _add_schema_flags(parser: argparse.ArgumentParser, study: Study) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--out", help="output directory (default: namespaced under $%s or ./runs)" % OUTPUT_DIR_ENV)
-    for key in schema:
-        listed = " (comma separated)" if key.kind in ("floats", "ints") else ""
-        parser.add_argument("--" + key.name.replace("_", "-"), dest=key.name, help=key.help + listed)
+    for name in [*study.required, *study.optional]:
+        kind, text = KEYS[name]
+        listed = " (comma separated)" if kind in ("floats", "ints") else ""
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, help=text + listed)
 
 
 def _output_dir(args: argparse.Namespace, subcommand: str) -> str:
@@ -323,6 +331,12 @@ def _cmd_profiles(cfg, outdir) -> int:
 # report studies: run(cfg) -> (report dataclass, blew up), written by _write_report
 
 
+def _run_scan(cfg):
+    # the keys are run_stability_scan's parameters, looked up when the scan runs
+    report = xp.run_stability_scan(**cfg)
+    return report, bool(report.blowups)
+
+
 def _convergence(cfg, epsilons) -> xp.ConvergenceStudy:
     grid = make_grid(cfg["ell0"], cfg["n_modes"])
     return xp.run_convergence_study(
@@ -386,81 +400,53 @@ def _write_report(study: Study, report, blew_up: bool, cfg: dict, outdir: str) -
 class Study:
     """One subcommand: its config keys, what it runs and, for report studies, its CSV.
 
-    With ``csv`` set, ``run(cfg)`` returns ``(report, blew_up)`` and
-    ``_write_report`` writes it, ``columns`` mapping each CSV header to a
+    ``required`` keys must be set; ``optional`` maps the others to their
+    defaults.  With ``csv`` set, ``run(cfg)`` returns ``(report, blew_up)``
+    and ``_write_report`` writes it, ``columns`` mapping each CSV header to a
     report field name or a getter.  Without it, ``run(cfg, outdir)`` writes
     its own outputs and returns the exit code.  A ``run`` looks up the
     module attributes it calls at call time, so wrappers set on them are seen.
     """
 
-    keys: list[Key]
+    required: tuple[str, ...]
+    optional: dict[str, object]
     run: Callable
     csv: str | None = None
     columns: dict[str, str | Callable] | None = None
 
 
-_EVOLVE_KEYS = [
-    Key("n_modes", "int", required=True, help="basis truncation"),
-    Key("dt", "float", help="time step (default scales with the period)"),
-    Key("t_end", "float", required=True, help="final time"),
-    Key("output_stride", "int", default=1, help="snapshot every this many steps"),
-    Key("ic", "str", default="random", help="initial condition: random | cosine"),
-    Key("amplitude", "float", default=1e-3, help="initial amplitude"),
-    Key("seed", "int", default=0, help="seed for random initial data"),
-    Key("harmonic", "int", default=1, help="cosine harmonic index"),
-    Key("phase", "float", default=0.0, help="cosine phase"),
-]
+_EVOLVE_DEFAULTS = {
+    "dt": None, "output_stride": 1, "ic": "random", "amplitude": 1e-3,
+    "seed": 0, "harmonic": 1, "phase": 0.0,
+}
+
 
 STUDIES: dict[str, Study] = {
-    "symbols": Study(
-        [
-            Key("ell", "float", required=True, help="spatial period"),
-            Key("n_modes", "int", required=True),
-            Key("alpha", "float", help="front parameter (unrescaled table)"),
-            Key("epsilon", "float", help="slow-scale parameter (rescaled table)"),
-        ],
-        _cmd_symbols,
-    ),
+    "symbols": Study(("ell", "n_modes"), {"alpha": None, "epsilon": None}, _cmd_symbols),
     "evolve-front": Study(
-        [Key("ell", "float", required=True), Key("alpha", "float", required=True)] + _EVOLVE_KEYS,
+        ("ell", "alpha", "n_modes", "t_end"),
+        _EVOLVE_DEFAULTS,
         lambda cfg, outdir: _cmd_evolve("front", cfg, outdir),
     ),
     "evolve-ks": Study(
-        [Key("ell0", "float", required=True)] + _EVOLVE_KEYS,
+        ("ell0", "n_modes", "t_end"),
+        _EVOLVE_DEFAULTS,
         lambda cfg, outdir: _cmd_evolve("ks", cfg, outdir),
     ),
     "evolve-rescaled": Study(
-        [Key("ell0", "float", required=True), Key("epsilon", "float", required=True)]
-        + _EVOLVE_KEYS,
+        ("ell0", "epsilon", "n_modes", "t_end"),
+        _EVOLVE_DEFAULTS,
         lambda cfg, outdir: _cmd_evolve("rescaled", cfg, outdir),
     ),
     "profiles": Study(
-        [
-            Key("ell", "float", required=True),
-            Key("alpha", "float", required=True),
-            Key("k", "int", required=True, help="mode index (0 for the mean mode)"),
-            Key("phi", "float", required=True, help="front coefficient"),
-            Key("phiy_sq", "float", default=0.0, help="squared-slope coefficient"),
-            Key("phi_t", "float", help="front time derivative (default: from the front law)"),
-            Key("x_min", "float", default=-10.0),
-            Key("x_max", "float", default=5.0),
-            Key("x_count", "int", default=301),
-        ],
+        ("ell", "alpha", "k", "phi"),
+        {"phiy_sq": 0.0, "phi_t": None, "x_min": -10.0, "x_max": 5.0, "x_count": 301},
         _cmd_profiles,
     ),
-    # the keys are run_stability_scan's parameters, looked up when the scan runs
     "stability-scan": Study(
-        [
-            Key("ell", "float", required=True),
-            Key("n_modes", "int", required=True),
-            Key("alphas", "floats", required=True),
-            Key("amplitude", "float", default=1e-4),
-            Key("t_end", "float", required=True),
-            Key("dt", "float", required=True),
-            Key("seed", "int", default=0),
-            Key("output_stride", "int", default=1),
-        ],
-        lambda cfg: (xp.run_stability_scan(**cfg), False),
+        ("ell", "n_modes", "alphas", "t_end", "dt"),
+        {"amplitude": 1e-4, "seed": 0, "output_stride": 1},
+        _run_scan,
         "scan.csv",
         {
             "alpha": "alphas",
@@ -470,49 +456,22 @@ STUDIES: dict[str, Study] = {
         },
     ),
     "convergence": Study(
-        [
-            Key("ell0", "float", required=True),
-            Key("n_modes", "int", required=True),
-            Key("t_end", "float", required=True),
-            Key("epsilons", "floats", required=True),
-            Key("dt", "float", required=True),
-            Key("amplitude", "float", default=0.1),
-            Key("harmonic", "int", default=1),
-            Key("output_stride", "int", default=10),
-        ],
+        ("ell0", "n_modes", "t_end", "epsilons", "dt"),
+        {"amplitude": 0.1, "harmonic": 1, "output_stride": 10},
         _run_convergence,
         "convergence.csv",
         {"epsilon": "epsilons", "sup_error": "sup_errors", "ratio": "ratios", "zeta_sup_l2": "zeta_sup_l2"},
     ),
     "energy": Study(
-        [
-            Key("ell0", "float", required=True),
-            Key("n_modes", "int", required=True),
-            Key("epsilon", "float", required=True),
-            Key("t_end", "float", required=True),
-            Key("dt", "float", required=True),
-            Key("order", "int", default=0, help="derivative order of the functional"),
-            Key("amplitude", "float", default=0.1),
-            Key("harmonic", "int", default=1),
-            Key("output_stride", "int", default=10),
-        ],
+        ("ell0", "n_modes", "epsilon", "t_end", "dt"),
+        {"order": 0, "amplitude": 0.1, "harmonic": 1, "output_stride": 10},
         _run_energy,
         "energy.csv",
         {"tau": "times", "energy": "values"},
     ),
     "ks-apriori": Study(
-        [
-            Key("ell0", "float", required=True),
-            Key("n_modes", "int", required=True),
-            Key("t_end", "float", required=True),
-            Key("dt", "float", required=True),
-            Key("ic", "str", default="cosine"),
-            Key("amplitude", "float", default=0.1),
-            Key("seed", "int", default=0),
-            Key("harmonic", "int", default=1),
-            Key("phase", "float", default=0.0),
-            Key("output_stride", "int", default=10),
-        ],
+        ("ell0", "n_modes", "t_end", "dt"),
+        {"ic": "cosine", "amplitude": 0.1, "seed": 0, "harmonic": 1, "phase": 0.0, "output_stride": 10},
         _run_ks_apriori,
         "apriori.csv",
         {
@@ -524,18 +483,8 @@ STUDIES: dict[str, Study] = {
         },
     ),
     "galerkin": Study(
-        [
-            Key("equation", "str", default="ks", help="ks | front | rescaled"),
-            Key("ell", "float", required=True),
-            Key("n_list", "ints", required=True),
-            Key("t_end", "float", required=True),
-            Key("dt", "float", required=True),
-            Key("alpha", "float", help="front parameter (equation=front)"),
-            Key("epsilon", "float", help="slow-scale parameter (equation=rescaled)"),
-            Key("amplitude", "float", default=1.0),
-            Key("harmonic", "int", default=1),
-            Key("output_stride", "int", default=10),
-        ],
+        ("ell", "n_list", "t_end", "dt"),
+        {"equation": "ks", "alpha": None, "epsilon": None, "amplitude": 1.0, "harmonic": 1, "output_stride": 10},
         _run_galerkin,
         "galerkin.csv",
         {"n_coarse": lambda r: r.n_list[:-1], "n_fine": lambda r: r.n_list[1:], "final_diff": "final_diffs"},
@@ -550,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, study in STUDIES.items():
-        _add_schema_flags(sub.add_parser(name), study.keys)
+        _add_schema_flags(sub.add_parser(name), study)
     return parser
 
 
@@ -565,7 +514,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     study = STUDIES[args.subcommand]
     try:
-        cfg = resolve_config(study.keys, args)
+        cfg = resolve_config(study, args)
         outdir = _output_dir(args, args.subcommand)
         if study.csv is None:
             return study.run(cfg, outdir)

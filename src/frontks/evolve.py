@@ -84,18 +84,13 @@ def make_rescaled_equation(epsilon: float, grid: SpectralGrid) -> EquationDescri
 
 
 class NumericalBlowupError(RuntimeError):
-    """State left the finite/bounded regime; carries the time it was detected."""
-
-    def __init__(self, time: float | None = None):
-        self.time = time
-        stamp = "unknown time" if time is None else f"t={time:g}"
-        super().__init__(f"numerical blowup at {stamp}")
+    """State left the finite/bounded regime."""
 
 
 class Etdrk4:
     """ETDRK4 stepper specialised to one (descriptor, dt) pair."""
 
-    def __init__(self, descriptor: EquationDescriptor, dt: float, contour_points: int = 16):
+    def __init__(self, descriptor: EquationDescriptor, dt: float):
         if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt}")
         self.descriptor = descriptor
@@ -103,8 +98,9 @@ class Etdrk4:
         z = dt * descriptor.linear_symbol
         self.exp_full = np.exp(z)
         self.exp_half = np.exp(0.5 * z)
-        # contour average of the phi functions (circle of radius 1 about each z)
-        r = np.exp(1j * np.pi * (np.arange(contour_points) + 0.5) / contour_points)
+        # contour average of the phi functions (circle of radius 1 about each z),
+        # 16 points as fixed by Kassam & Trefethen (2005)
+        r = np.exp(1j * np.pi * (np.arange(16) + 0.5) / 16)
         zr = z[:, None] + r[None, :]
         ez = np.exp(zr)
         self.coeff_q = dt * ((np.exp(0.5 * zr) - 1.0) / zr).mean(1).real
@@ -136,7 +132,7 @@ class Etdrk4:
 def step(state: SpectralField, descriptor: EquationDescriptor, dt: float) -> SpectralField:
     """Advance one ETDRK4 step (one-off; use Etdrk4 directly inside loops)."""
     if not np.all(np.isfinite(state.coeffs)):
-        raise NumericalBlowupError()
+        raise NumericalBlowupError("non-finite input state")
     return SpectralField(state.grid, Etdrk4(descriptor, dt).step_coeffs(state.coeffs))
 
 
@@ -245,7 +241,7 @@ class MeanModeCheck:
     mean_nonincreasing: bool
 
 
-def mean_mode_ode_check(trajectory: Trajectory, step_tolerance: float = 1e-9) -> MeanModeCheck:
+def mean_mode_ode_check(trajectory: Trajectory) -> MeanModeCheck:
     """Compare the finite-differenced mean against -1/2 mean((state_y)^2).
 
     Uses the trapezoid pairing of snapshot endpoints, so snapshots must be
@@ -267,5 +263,5 @@ def mean_mode_ode_check(trajectory: Trajectory, step_tolerance: float = 1e-9) ->
     return MeanModeCheck(
         max_residual=float(np.max(residual)),
         max_mean_increase=float(np.max(increase, initial=0.0)),
-        mean_nonincreasing=bool(np.all(increase <= step_tolerance)),
+        mean_nonincreasing=bool(np.all(increase <= 1e-9)),  # round-off rises allowed
     )

@@ -58,16 +58,17 @@ def fit_log_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log(np.asarray(x)), np.log(np.asarray(y)), 1)[0])
 
 
-def measured_growth_rate(trajectory: Trajectory, tail_fraction: float = 0.2) -> float:
-    """Exponential rate of the zero-mean L2 norm over the last fraction of the run.
+def measured_growth_rate(trajectory: Trajectory) -> float:
+    """Exponential rate of the zero-mean L2 norm over the last fifth of the run.
 
     Fitted on the tail so transients from the non-normal quadratic coupling
-    have decayed first.
+    have decayed first; nan when the tail holds fewer than three snapshots.
     """
     times = trajectory.times
     norms = trajectory.diagnostics["zero_mean_l2"]
-    t_cut = times[-1] - tail_fraction * (times[-1] - times[0])
-    sel = times >= t_cut
+    sel = times >= times[-1] - 0.2 * (times[-1] - times[0])
+    if sel.sum() < 3:
+        return np.nan
     if np.any(norms[sel] <= 0):
         return -np.inf
     return float(np.polyfit(times[sel], np.log(norms[sel]), 1)[0])
@@ -82,6 +83,7 @@ class StabilityScanReport:
     predicted_rates: np.ndarray  # max over k >= 1 of the linear growth rates
     verdicts: list[str]          # "stable" | "unstable"
     anomalies: list[str]
+    blowups: list[float]         # the alphas whose run blew up
     trajectories: dict[float, Trajectory] | None = None
 
 
@@ -107,7 +109,7 @@ def run_stability_scan(
     grid = make_grid(ell, n_modes)
     ic = random_zero_mean_field(grid, amplitude, seed)
     a_c = alpha_critical(ell)
-    measured, predicted, verdicts, anomalies = [], [], [], []
+    measured, predicted, verdicts, anomalies, blowups = [], [], [], [], []
     kept: dict[float, Trajectory] = {}
     for alpha in alphas:
         table = build_symbols(alpha, grid)
@@ -124,6 +126,7 @@ def run_stability_scan(
         if keep_trajectories:
             kept[float(alpha)] = traj
         if traj.blown_up:
+            blowups.append(float(alpha))
             anomalies.append(
                 f"alpha={alpha:g}: blowup at t={traj.blowup_time:g}"
                 + (" on a nominally stable parameter" if alpha < a_c else "")
@@ -146,6 +149,7 @@ def run_stability_scan(
         predicted_rates=np.asarray(predicted),
         verdicts=verdicts,
         anomalies=anomalies,
+        blowups=blowups,
         trajectories=kept if keep_trajectories else None,
     )
 

@@ -37,7 +37,6 @@ __all__ = [
     "mean_projection",
     "antiderivative",
     "slope_energy_weights",
-    "gradient_mean_square",
     "random_zero_mean_field",
     "cosine_field",
 ]
@@ -247,15 +246,8 @@ def slope_energy_weights(grid: SpectralGrid) -> np.ndarray:
     return lam
 
 
-def gradient_mean_square(field: SpectralField) -> float:
-    """Mean of (f')^2 over one period, from coefficients: sum_k lam_k a_k^2."""
-    return float(np.sum(slope_energy_weights(field.grid) * field.coeffs**2))
-
-
-def random_zero_mean_field(
-    grid: SpectralGrid, amplitude: float, seed: int, decay: float = 2.0
-) -> SpectralField:
-    """Seeded random zero-mean field with coefficients decaying like lam^(-decay).
+def random_zero_mean_field(grid: SpectralGrid, amplitude: float, seed: int) -> SpectralField:
+    """Seeded random zero-mean field with coefficients decaying like lam^(-2).
 
     Rescaled so the L2 (coefficient) norm equals ``amplitude``.
     """
@@ -263,7 +255,7 @@ def random_zero_mean_field(
     raw = rng.uniform(-1.0, 1.0, grid.n_modes)
     coeffs = np.zeros(grid.n_modes)
     lam = grid.eigenvalues
-    coeffs[1:] = raw[1:] * (lam[1] / lam[1:]) ** decay
+    coeffs[1:] = raw[1:] * (lam[1] / lam[1:]) ** 2.0
     norm = np.sqrt(np.sum(coeffs**2))
     if norm > 0:
         coeffs *= amplitude / norm

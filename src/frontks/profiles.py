@@ -135,10 +135,7 @@ def profile_coefficients(data: FrontModeData) -> ProfileCoefficients:
 
 
 def reconstruct_mode(
-    data: FrontModeData,
-    coeffs: ProfileCoefficients,
-    x_points: np.ndarray,
-    flux_consistency_tol: float = 1e-9,
+    data: FrontModeData, coeffs: ProfileCoefficients, x_points: np.ndarray
 ) -> ProfileSlice:
     """Evaluate the k >= 1 profiles on x_points and extract the front limits.
 
@@ -173,7 +170,7 @@ def reconstruct_mode(
     # the flux jump pins u_x(0-) = -T1/nu; flag disagreement instead of choosing
     pinned = -t1 / nu
     scale = max(1.0, abs(pinned))
-    if abs(u_x_left - pinned) > flux_consistency_tol * scale:
+    if abs(u_x_left - pinned) > 1e-9 * scale:
         raise ArithmeticError(
             f"front slope from the profile ({u_x_left:.17g}) disagrees with the "
             f"flux-jump value ({pinned:.17g})"

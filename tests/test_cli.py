@@ -7,7 +7,16 @@ import pytest
 
 import frontks.cli
 import frontks.experiments
-from frontks.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, main, read_config_file
+from frontks.cli import (
+    EXIT_BLOWUP,
+    EXIT_CONFIG,
+    EXIT_OK,
+    STUDIES,
+    build_parser,
+    main,
+    read_config_file,
+    resolve_config,
+)
 
 # settings under which every K-S and slow-scale run blows up within a few steps
 BLOWUP_ARGS = ["--ell0", "80", "--n-modes", "64", "--t-end", "50", "--dt", "5", "--amplitude", "50"]
@@ -147,6 +156,30 @@ def test_evolve_ks_blowup_exit_code(tmp_path):
     assert rc == EXIT_BLOWUP
     summary = json.loads((tmp_path / "blow" / "summary.json").read_text())
     assert summary["blown_up"] is True
+
+
+def test_stability_scan_blowup_writes_outputs_then_exit_code(tmp_path):
+    out = tmp_path / "scan"
+    rc = main([
+        "stability-scan", "--ell", "12.566370614359172", "--n-modes", "32",
+        "--alphas", "1.8,3", "--amplitude", "50", "--t-end", "5", "--dt", "1", "--out", str(out),
+    ])
+    assert rc == EXIT_BLOWUP
+    assert (out / "scan.csv").exists()
+    report = json.loads((out / "report.json").read_text())
+    assert report["blowups"] == [1.8, 3.0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_short_scan_writes_nan_rate_instead_of_fitting_one_point(tmp_path):
+    out = tmp_path / "scan"
+    rc = main([
+        "stability-scan", "--ell", "12.566370614359172", "--n-modes", "16",
+        "--alphas", "1.8,2.2", "--t-end", "0.2", "--dt", "0.1", "--out", str(out),
+    ])
+    assert rc == EXIT_OK
+    header, rows = _read_csv(out / "scan.csv")
+    assert [row[header.index("measured_rate")] for row in rows] == ["nan", "nan"]
 
 
 def test_profiles_default_time_derivative_closes_jump(tmp_path):
@@ -289,3 +322,61 @@ def test_benchmark_layer_boundaries_are_module_attributes(tmp_path, monkeypatch)
     ])
     assert rc == EXIT_OK
     assert calls == {"_cmd_evolve": 1, "evolve": 1, "write_csv": 2, "run_stability_scan": 1}
+
+
+_EVOLVE_DEFAULTS = {
+    "dt": None, "output_stride": 1, "ic": "random", "amplitude": 0.001,
+    "seed": 0, "harmonic": 1, "phase": 0.0,
+}
+
+# subcommand -> (required keys in reporting order, defaults of the optional keys)
+CONFIG_SURFACE = {
+    "symbols": (["ell", "n_modes"], {"alpha": None, "epsilon": None}),
+    "evolve-front": (["ell", "alpha", "n_modes", "t_end"], _EVOLVE_DEFAULTS),
+    "evolve-ks": (["ell0", "n_modes", "t_end"], _EVOLVE_DEFAULTS),
+    "evolve-rescaled": (["ell0", "epsilon", "n_modes", "t_end"], _EVOLVE_DEFAULTS),
+    "profiles": (
+        ["ell", "alpha", "k", "phi"],
+        {"phiy_sq": 0.0, "phi_t": None, "x_min": -10.0, "x_max": 5.0, "x_count": 301},
+    ),
+    "stability-scan": (
+        ["ell", "n_modes", "alphas", "t_end", "dt"],
+        {"amplitude": 0.0001, "seed": 0, "output_stride": 1},
+    ),
+    "convergence": (
+        ["ell0", "n_modes", "t_end", "epsilons", "dt"],
+        {"amplitude": 0.1, "harmonic": 1, "output_stride": 10},
+    ),
+    "energy": (
+        ["ell0", "n_modes", "epsilon", "t_end", "dt"],
+        {"order": 0, "amplitude": 0.1, "harmonic": 1, "output_stride": 10},
+    ),
+    "ks-apriori": (
+        ["ell0", "n_modes", "t_end", "dt"],
+        {"ic": "cosine", "amplitude": 0.1, "seed": 0, "harmonic": 1, "phase": 0.0, "output_stride": 10},
+    ),
+    "galerkin": (
+        ["ell", "n_list", "t_end", "dt"],
+        {"equation": "ks", "alpha": None, "epsilon": None, "amplitude": 1.0, "harmonic": 1, "output_stride": 10},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CONFIG_SURFACE))
+def test_config_surface_is_pinned(name, tmp_path, capsys):
+    required, defaults = CONFIG_SURFACE[name]
+    parser = build_parser()
+    sub = parser._subparsers._group_actions[0].choices[name]
+    flags = {o for action in sub._actions for o in action.option_strings} - {"-h", "--help"}
+    assert flags == {"--config", "--out"} | {"--" + k.replace("_", "-") for k in [*required, *defaults]}
+
+    assert main([name, "--out", str(tmp_path)]) == EXIT_CONFIG
+    violations = json.loads(capsys.readouterr().err)["violations"]
+    assert violations == [f"missing required key '{k}'" for k in required]
+
+    argv = [name] + [arg for k in required for arg in ("--" + k.replace("_", "-"), "1")]
+    cfg = resolve_config(STUDIES[name], parser.parse_args(argv))
+    assert sorted(cfg) == sorted([*required, *defaults])
+    resolved_defaults = {k: v for k, v in cfg.items() if k not in required}
+    # JSON tells 1 from 1.0, as report.json and summary.json do
+    assert json.dumps(resolved_defaults, sort_keys=True) == json.dumps(defaults, sort_keys=True)
