@@ -17,6 +17,8 @@ from frontks.cli import (
     read_config_file,
     resolve_config,
 )
+from frontks.evolve import Etdrk4, SolverConfig, evolve, make_ks_equation
+from frontks.grid import make_grid, random_zero_mean_field
 
 # settings under which every K-S and slow-scale run blows up within a few steps
 BLOWUP_ARGS = ["--ell0", "80", "--n-modes", "64", "--t-end", "50", "--dt", "5", "--amplitude", "50"]
@@ -322,6 +324,46 @@ def test_benchmark_layer_boundaries_are_module_attributes(tmp_path, monkeypatch)
     ])
     assert rc == EXIT_OK
     assert calls == {"_cmd_evolve": 1, "evolve": 1, "write_csv": 2, "run_stability_scan": 1}
+
+
+def test_benchmark_trace_contract_counts_steps_and_nonlinear_calls(tmp_path, monkeypatch):
+    # the traced benchmark expects one evolve per scan member, one
+    # Etdrk4.step_coeffs per member-step and four Etdrk4.nonlinear per step
+    calls = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(Etdrk4, "step_coeffs")
+    count(Etdrk4, "nonlinear")
+    count(frontks.experiments, "evolve")
+    grid = make_grid(12.566370614359172, 16)
+    evolve(SolverConfig(make_ks_equation(grid), random_zero_mean_field(grid, 0.1, 0), 0.1, 0.7))
+    assert calls == {"step_coeffs": 7, "nonlinear": 28}
+    calls.clear()
+    rc = main([
+        "stability-scan", "--ell", "12.566370614359172", "--n-modes", "16",
+        "--alphas", "1.8,2.2", "--t-end", "1.0", "--dt", "0.1", "--out", str(tmp_path / "scan"),
+    ])
+    assert rc == EXIT_OK
+    assert calls == {"evolve": 2, "step_coeffs": 20, "nonlinear": 80}
+
+
+def test_t_end_off_the_step_lattice_is_a_config_error(tmp_path, capsys):
+    rc = main([
+        "evolve-ks", "--ell0", "31.41592653589793", "--n-modes", "16",
+        "--t-end", "1", "--dt", "0.3", "--out", str(tmp_path / "ks"),
+    ])
+    assert rc == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "nearest reachable horizon is 0.9" in err["violations"][0]
 
 
 _EVOLVE_DEFAULTS = {

@@ -18,7 +18,14 @@ from frontks.evolve import (
     step,
 )
 from frontks.experiments import fit_log_slope
-from frontks.grid import SpectralField, cosine_field, make_grid, random_zero_mean_field
+from frontks.grid import (
+    SpectralField,
+    cosine_field,
+    dealiased_square,
+    differentiate,
+    make_grid,
+    random_zero_mean_field,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -98,6 +105,25 @@ def test_stepper_coefficients_at_zero_symbol():
     assert np.max(np.abs(st.coeff_q - h / 2)) < 1e-13
     for c in (st.coeff_f1, st.coeff_f2, st.coeff_f3):
         assert np.max(np.abs(c - h / 6)) < 1e-13
+
+
+EQUATIONS = {
+    "front": lambda grid: make_front_equation(2.5, grid),
+    "ks": make_ks_equation,
+    "rescaled": lambda grid: make_rescaled_equation(0.1, grid),
+}
+
+
+@pytest.mark.parametrize("equation", sorted(EQUATIONS))
+@pytest.mark.parametrize("n", [3, 4, 19, 64, 65, 66, 2048])  # even n: unpaired top cosine
+def test_nonlinear_term_is_symbol_times_dealiased_square_of_slope(n, equation):
+    grid = make_grid(TWO_PI, n)
+    desc = EQUATIONS[equation](grid)
+    coeffs = np.random.default_rng(n).standard_normal(n)
+    slope_sq = dealiased_square(differentiate(SpectralField(grid, coeffs))).coeffs
+    expected = desc.nonlinear_symbol * slope_sq
+    got = Etdrk4(desc, 1e-3).nonlinear(coeffs)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_step_raises_on_non_finite_state():
@@ -180,6 +206,20 @@ def test_solver_config_validation():
         SolverConfig(descriptor=desc, initial_condition=good, dt=0.1, t_end=0.05)
     with pytest.raises(ValueError):
         SolverConfig(descriptor=desc, initial_condition=SpectralField(other, np.zeros(12)), dt=0.1, t_end=1.0)
+
+
+def test_solver_config_rejects_t_end_off_the_step_lattice():
+    grid = make_grid(TWO_PI, 8)
+    good = SpectralField(grid, np.zeros(8))
+    with pytest.raises(ValueError, match="nearest reachable horizon is 0.9"):
+        SolverConfig(make_ks_equation(grid), good, dt=0.3, t_end=1.0)
+    with pytest.raises(ValueError, match="nearest reachable horizon is 0.8"):
+        SolverConfig(make_ks_equation(grid), good, dt=0.4, t_end=1.0)
+    for t_end in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(make_ks_equation(grid), good, dt=0.1, t_end=t_end)
+    # round-off in t_end / dt is not a partial step
+    assert SolverConfig(make_ks_equation(grid), good, dt=0.1, t_end=0.3).t_end == 0.3
 
 
 def test_default_dt_scaling():
