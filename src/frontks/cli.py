@@ -185,15 +185,17 @@ def _add_schema_flags(parser: argparse.ArgumentParser, study: Study) -> None:
         parser.add_argument("--" + name.replace("_", "-"), dest=name, help=text + listed)
 
 
-def _output_dir(args: argparse.Namespace, subcommand: str) -> str:
+def _output_dir(args: argparse.Namespace, subcommand: str) -> tuple[str, bool]:
+    """The run's output directory, and whether this call created it."""
     if getattr(args, "out", None):
+        created = not os.path.isdir(args.out)
         os.makedirs(args.out, exist_ok=True)
-        return args.out
+        return args.out, created
     base = os.environ.get(OUTPUT_DIR_ENV, "runs")
     os.makedirs(base, exist_ok=True)
     # created exclusively, so two runs stamped in the same second get two directories
     stamp = time.strftime("%Y%m%d-%H%M%S")
-    return tempfile.mkdtemp(prefix=f"{subcommand}-{stamp}-", dir=base)
+    return tempfile.mkdtemp(prefix=f"{subcommand}-{stamp}-", dir=base), True
 
 
 def _initial_condition(grid, cfg) -> SpectralField:
@@ -229,7 +231,7 @@ def _single_run(equation: str, cfg: dict) -> Trajectory:
         SolverConfig(
             descriptor=_equation(equation, cfg)(grid),
             initial_condition=_initial_condition(grid, cfg),
-            dt=cfg["dt"] if cfg["dt"] is not None else default_dt(grid),
+            dt=cfg["dt"] if cfg["dt"] is not None else default_dt(grid, cfg["t_end"]),
             t_end=cfg["t_end"],
             output_stride=cfg["output_stride"],
         )
@@ -513,16 +515,19 @@ def _error(code: int, **payload) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     study = STUDIES[args.subcommand]
+    outdir, created = None, False
     try:
         cfg = resolve_config(study, args)
-        outdir = _output_dir(args, args.subcommand)
+        outdir, created = _output_dir(args, args.subcommand)
         if study.csv is None:
             return study.run(cfg, outdir)
         return _write_report(study, *study.run(cfg), cfg, outdir)
-    except ConfigError as err:
-        return _error(EXIT_CONFIG, error="config", violations=err.violations)
-    except ValueError as err:
-        return _error(EXIT_CONFIG, error="config", violations=[str(err)])
+    except (ConfigError, ValueError) as err:
+        # the library validates some keys only once the run starts
+        if created and not os.listdir(outdir):
+            os.rmdir(outdir)
+        violations = err.violations if isinstance(err, ConfigError) else [str(err)]
+        return _error(EXIT_CONFIG, error="config", violations=violations)
     except OSError as err:
         return _error(EXIT_IO, error="io", detail=str(err))
 

@@ -15,11 +15,12 @@ cancel catastrophically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import SpectralField, SpectralGrid, _pack, _unpack, slope_energy_weights
+from .grid import SpectralField, SpectralGrid, _pack, _square_spectrum, slope_energy_weights
 from .symbols import build_rescaled_symbols, build_symbols
 
 __all__ = [
@@ -103,11 +104,9 @@ class Etdrk4:
         self.coeff_f3 = dt * ((-4.0 - 3.0 * zr - zr**2 + ez * (4.0 - zr)) / zr**3).mean(1).real
 
     def nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
-        # G * dealiased (d/dy)^2 in one FFT pair: the derivative is taken in the
-        # rfft layout and the slope sampled on the alias-free n_points
+        # G * dealiased (d/dy)^2, the derivative taken in the packed spectrum
         grid = self.descriptor.grid
-        slope = np.fft.irfft(_pack(grid, coeffs) * grid._ik, grid.n_points, norm="forward")
-        slope_sq = _unpack(grid, np.fft.rfft(slope * slope, norm="forward"))
+        slope_sq = _square_spectrum(grid, _pack(grid, coeffs) * grid._ik)
         return self.descriptor.nonlinear_symbol * slope_sq
 
     def step_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
@@ -134,9 +133,22 @@ def step(state: SpectralField, descriptor: EquationDescriptor, dt: float) -> Spe
     return SpectralField(state.grid, Etdrk4(descriptor, dt).step_coeffs(state.coeffs))
 
 
-def default_dt(grid: SpectralGrid) -> float:
-    """Default step, scaled with the squared period."""
-    return 1e-3 * (grid.period / (2.0 * np.pi)) ** 2
+def _whole_steps(t_end: float, dt: float) -> bool:
+    """Whether t_end is a whole number of dt steps, up to round-off."""
+    steps = t_end / dt
+    return abs(steps - round(steps)) <= 1e-9 * steps
+
+
+def default_dt(grid: SpectralGrid, t_end: float | None = None) -> float:
+    """Default step 1e-3 (L/2pi)^2, scaled with the squared period.
+
+    Given a positive finite t_end that it does not divide, the step is
+    shortened to t_end / ceil(t_end / step), so that whole steps reach t_end.
+    """
+    dt = 1e-3 * (grid.period / (2.0 * np.pi)) ** 2
+    if t_end is None or not 0 < t_end / dt < np.inf or _whole_steps(t_end, dt):
+        return dt
+    return t_end / math.ceil(t_end / dt)
 
 
 @dataclass(frozen=True)
@@ -150,13 +162,15 @@ class SolverConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.dt <= self.t_end < np.inf:
-            raise ValueError(f"t_end must be finite and at least one step long, got {self.t_end}")
-        steps = self.t_end / self.dt
-        if abs(steps - round(steps)) > 1e-9 * steps:
+        if not 1 <= self.t_end / self.dt < np.inf:
+            raise ValueError(
+                f"t_end must be a finite number of steps, at least one, got t_end = {self.t_end:g} "
+                f"with dt = {self.dt:g}"
+            )
+        if not _whole_steps(self.t_end, self.dt):
             raise ValueError(
                 f"t_end = {self.t_end:g} is not a whole number of dt = {self.dt:g} steps; "
-                f"the nearest reachable horizon is {round(steps) * self.dt:.12g}"
+                f"the nearest reachable horizon is {round(self.t_end / self.dt) * self.dt:.12g}"
             )
         if self.output_stride < 1:
             raise ValueError("output_stride must be a positive integer")

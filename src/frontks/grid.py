@@ -167,27 +167,29 @@ def inverse_transform(field: SpectralField, n_points: int | None = None) -> np.n
     return np.fft.irfft(_pack(grid, field.coeffs), n, norm="forward")
 
 
-def _derivative_coeffs(grid: SpectralGrid, coeffs: np.ndarray, order: int) -> np.ndarray:
-    return _unpack(grid, _pack(grid, coeffs) * grid._ik**order)
-
-
 def differentiate(field: SpectralField, order: int = 1) -> SpectralField:
     """Exact spectral derivative of the given order (mean mode of the result is 0)."""
     if order < 1:
         raise ValueError(f"order must be a positive integer, got {order}")
-    return SpectralField(field.grid, _derivative_coeffs(field.grid, field.coeffs, order))
+    grid = field.grid
+    return SpectralField(grid, _unpack(grid, _pack(grid, field.coeffs) * grid._ik**order))
 
 
-def _square_coeffs(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    # n_points >= 3K + 1 resolves every harmonic of the product that could alias
-    # onto a retained one; truncating back to n_modes drops the rest
-    values = np.fft.irfft(_pack(grid, coeffs), grid.n_points, norm="forward")
+def _square_spectrum(grid: SpectralGrid, spectrum: np.ndarray) -> np.ndarray:
+    """Real-basis coefficients of the square of the function with this _pack spectrum.
+
+    One FFT pair: n_points >= 3K + 1 resolves every harmonic of the product
+    that could alias onto a retained one; truncating back to n_modes drops
+    the rest.
+    """
+    values = np.fft.irfft(spectrum, grid.n_points, norm="forward")
     return _unpack(grid, np.fft.rfft(values * values, norm="forward"))
 
 
 def dealiased_square(field: SpectralField) -> SpectralField:
     """Spectral coefficients of the pointwise square, exact on all retained modes."""
-    return SpectralField(field.grid, _square_coeffs(field.grid, field.coeffs))
+    grid = field.grid
+    return SpectralField(grid, _square_spectrum(grid, _pack(grid, field.coeffs)))
 
 
 def sobolev_norm(field: SpectralField, s: float) -> float:

@@ -1,6 +1,7 @@
 """CLI: config handling, outputs, exit codes, reproducibility."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from frontks.cli import (
     read_config_file,
     resolve_config,
 )
-from frontks.evolve import Etdrk4, SolverConfig, evolve, make_ks_equation
-from frontks.grid import make_grid, random_zero_mean_field
+from frontks.evolve import Etdrk4, default_dt
+from frontks.grid import make_grid
 
 # settings under which every K-S and slow-scale run blows up within a few steps
 BLOWUP_ARGS = ["--ell0", "80", "--n-modes", "64", "--t-end", "50", "--dt", "5", "--amplitude", "50"]
@@ -297,13 +298,15 @@ def test_default_output_dirs_do_not_collide_within_one_second(tmp_path, monkeypa
 
 
 def test_benchmark_layer_boundaries_are_module_attributes(tmp_path, monkeypatch):
+    # the traced benchmark also expects one evolve per scan member, one
+    # Etdrk4.step_coeffs per member-step and four Etdrk4.nonlinear per step
     calls = {}
 
-    def count(module, name):
+    def count(module, name, key=None):
         original = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            calls[key or name] = calls.get(key or name, 0) + 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -312,47 +315,26 @@ def test_benchmark_layer_boundaries_are_module_attributes(tmp_path, monkeypatch)
     count(frontks.cli, "evolve")
     count(frontks.cli, "write_csv")
     count(frontks.experiments, "run_stability_scan")
+    count(frontks.experiments, "evolve", "experiments.evolve")
+    count(Etdrk4, "step_coeffs")
+    count(Etdrk4, "nonlinear")
     rc = main([
         "evolve-rescaled", "--ell0", "31.41592653589793", "--epsilon", "0.04", "--n-modes", "16",
         "--t-end", "0.01", "--dt", "0.001", "--out", str(tmp_path / "dense"),
     ])
     assert rc == EXIT_OK
-    assert calls == {"_cmd_evolve": 1, "evolve": 1, "write_csv": 1}
+    assert calls == {
+        "_cmd_evolve": 1, "evolve": 1, "write_csv": 1, "step_coeffs": 10, "nonlinear": 4 * 10,
+    }
     rc = main([
         "stability-scan", "--ell", "12.566370614359172", "--n-modes", "16",
         "--alphas", "1.8,2.2", "--t-end", "1.0", "--dt", "0.1", "--out", str(tmp_path / "scan"),
     ])
     assert rc == EXIT_OK
-    assert calls == {"_cmd_evolve": 1, "evolve": 1, "write_csv": 2, "run_stability_scan": 1}
-
-
-def test_benchmark_trace_contract_counts_steps_and_nonlinear_calls(tmp_path, monkeypatch):
-    # the traced benchmark expects one evolve per scan member, one
-    # Etdrk4.step_coeffs per member-step and four Etdrk4.nonlinear per step
-    calls = {}
-
-    def count(owner, name):
-        original = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-
-    count(Etdrk4, "step_coeffs")
-    count(Etdrk4, "nonlinear")
-    count(frontks.experiments, "evolve")
-    grid = make_grid(12.566370614359172, 16)
-    evolve(SolverConfig(make_ks_equation(grid), random_zero_mean_field(grid, 0.1, 0), 0.1, 0.7))
-    assert calls == {"step_coeffs": 7, "nonlinear": 28}
-    calls.clear()
-    rc = main([
-        "stability-scan", "--ell", "12.566370614359172", "--n-modes", "16",
-        "--alphas", "1.8,2.2", "--t-end", "1.0", "--dt", "0.1", "--out", str(tmp_path / "scan"),
-    ])
-    assert rc == EXIT_OK
-    assert calls == {"evolve": 2, "step_coeffs": 20, "nonlinear": 80}
+    assert calls == {
+        "_cmd_evolve": 1, "evolve": 1, "write_csv": 2, "run_stability_scan": 1,
+        "experiments.evolve": 2, "step_coeffs": 10 + 2 * 10, "nonlinear": 4 * (10 + 2 * 10),
+    }
 
 
 def test_t_end_off_the_step_lattice_is_a_config_error(tmp_path, capsys):
@@ -364,6 +346,19 @@ def test_t_end_off_the_step_lattice_is_a_config_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert "nearest reachable horizon is 0.9" in err["violations"][0]
+    assert not (tmp_path / "ks").exists()  # the run directory made for it is removed
+
+
+def test_default_dt_reaches_t_end_in_whole_steps(tmp_path):
+    # 1e-3 (10/2pi)^2 does not divide t_end = 1, so the default step shortens
+    rc = main([
+        "evolve-front", "--ell", "10", "--alpha", "1", "--n-modes", "16",
+        "--t-end", "1", "--out", str(tmp_path / "front"),
+    ])
+    assert rc == EXIT_OK
+    summary = json.loads((tmp_path / "front" / "summary.json").read_text())
+    assert summary["times"][-1] == pytest.approx(1.0, rel=1e-12)
+    assert len(summary["times"]) == 1 + math.ceil(1.0 / default_dt(make_grid(10.0, 16)))
 
 
 _EVOLVE_DEFAULTS = {

@@ -1,5 +1,7 @@
 """Evolver: descriptors, ETDRK4 stepping, trajectories, mean-mode law."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -215,7 +217,7 @@ def test_solver_config_rejects_t_end_off_the_step_lattice():
         SolverConfig(make_ks_equation(grid), good, dt=0.3, t_end=1.0)
     with pytest.raises(ValueError, match="nearest reachable horizon is 0.8"):
         SolverConfig(make_ks_equation(grid), good, dt=0.4, t_end=1.0)
-    for t_end in (np.inf, np.nan):
+    for t_end in (np.inf, np.nan, 1e308):  # 1e308 / 0.1 overflows to inf
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(make_ks_equation(grid), good, dt=0.1, t_end=t_end)
     # round-off in t_end / dt is not a partial step
@@ -225,6 +227,40 @@ def test_solver_config_rejects_t_end_off_the_step_lattice():
 def test_default_dt_scaling():
     assert default_dt(make_grid(TWO_PI, 8)) == pytest.approx(1e-3)
     assert default_dt(make_grid(4 * np.pi, 8)) == pytest.approx(4e-3)
+
+
+def test_default_dt_given_t_end_divides_it():
+    grid = make_grid(10.0, 8)
+    base = default_dt(grid)
+    dt = default_dt(grid, 1.0)
+    assert dt < base and 1.0 / dt == pytest.approx(math.ceil(1.0 / base), rel=1e-12)
+    assert SolverConfig(make_ks_equation(grid), SpectralField(grid, np.zeros(8)), dt, 1.0).dt == dt
+    # a t_end the default already divides keeps the default bit for bit
+    assert default_dt(make_grid(TWO_PI, 8), 1.0) == default_dt(make_grid(TWO_PI, 8))
+    assert default_dt(grid, base / 4) == base / 4  # shorter than one default step
+    for t_end in (0.0, -1.0, np.inf, np.nan):  # left for SolverConfig to reject
+        assert default_dt(grid, t_end) == base
+
+
+def test_evolve_calls_step_coeffs_once_and_nonlinear_four_times_per_step(monkeypatch):
+    # the traced benchmark counts steps and nonlinear evaluations through these
+    # class attributes
+    calls = {}
+
+    def count(name):
+        original = getattr(Etdrk4, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(Etdrk4, name, counted)
+
+    count("step_coeffs")
+    count("nonlinear")
+    grid = make_grid(12.566370614359172, 16)
+    evolve(SolverConfig(make_ks_equation(grid), random_zero_mean_field(grid, 0.1, 0), 0.1, 0.7))
+    assert calls == {"step_coeffs": 7, "nonlinear": 28}
 
 
 def _front_run(alpha, t_end, amplitude=1e-3, stride=1, dt=0.01, n=32, ell=TWO_PI):
