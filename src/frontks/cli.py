@@ -52,11 +52,7 @@ OUTPUT_DIR_ENV = "FRONTKS_OUTDIR"
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    return f"{float(x):.17g}"
+    return x if isinstance(x, str) else format(x, ".17g")
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
@@ -170,6 +166,9 @@ def resolve_config(study: Study, args: argparse.Namespace) -> dict:
             merged[key] = _parse_value(kind, text)
         except ValueError:
             violations.append(f"key '{key}': cannot parse '{text}' as {kind}")
+            continue
+        if merged[key] == []:
+            violations.append(f"key '{key}': empty list")
     violations += [f"missing required key '{k}'" for k in study.required if k not in raw]
     if violations:
         raise ConfigError(violations)
@@ -200,7 +199,7 @@ def _output_dir(args: argparse.Namespace, subcommand: str) -> tuple[str, bool]:
 
 def _initial_condition(grid, cfg) -> SpectralField:
     if cfg["ic"] == "cosine":
-        return cosine_field(grid, cfg["amplitude"], cfg.get("harmonic", 1), cfg.get("phase", 0.0))
+        return cosine_field(grid, cfg["amplitude"], cfg["harmonic"], cfg["phase"])
     if cfg["ic"] == "random":
         return random_zero_mean_field(grid, cfg["amplitude"], cfg["seed"])
     raise ConfigError([f"key 'ic': expected 'random' or 'cosine', got '{cfg['ic']}'"])
@@ -267,7 +266,7 @@ def _cmd_evolve(equation, cfg, outdir) -> int:
     traj = _single_run(equation, cfg)
     header = ["time"] + [f"a{k}" for k in range(traj.grid.n_modes)]
     csv_path = os.path.join(outdir, "trajectory.csv")
-    write_csv(csv_path, header, ([t] + list(row) for t, row in zip(traj.times, traj.coeffs)))
+    write_csv(csv_path, header, np.column_stack([traj.times, traj.coeffs]).tolist())
     summary = {
         "label": traj.descriptor.label,
         "config": cfg,
@@ -287,15 +286,10 @@ def _cmd_profiles(cfg, outdir) -> int:
     k = cfg["k"]
     if k < 0:
         raise ConfigError(["key 'k': must be non-negative"])
-    j = (k + 1) // 2
-    lam = (2.0 * np.pi * j / cfg["ell"]) ** 2 if k >= 1 else 0.0
+    lam = float(make_grid(cfg["ell"], max(k + 1, 3)).eigenvalues[k])
     phi_t = cfg["phi_t"]
     if phi_t is None:
-        phi_t = (
-            -0.5 * cfg["phiy_sq"]
-            if k == 0
-            else front_time_derivative(cfg["alpha"], lam, cfg["phi"], cfg["phiy_sq"])
-        )
+        phi_t = front_time_derivative(cfg["alpha"], lam, cfg["phi"], cfg["phiy_sq"])
     data = FrontModeData(
         k=k, lambda_k=lam, alpha=cfg["alpha"], phi=cfg["phi"], phi_t=phi_t, phiy_sq=cfg["phiy_sq"]
     )
@@ -522,6 +516,8 @@ def main(argv=None) -> int:
         if study.csv is None:
             return study.run(cfg, outdir)
         return _write_report(study, *study.run(cfg), cfg, outdir)
+    except np.linalg.LinAlgError:
+        raise  # a ValueError, but a numerical failure, not a config one
     except (ConfigError, ValueError) as err:
         # the library validates some keys only once the run starts
         if created and not os.listdir(outdir):

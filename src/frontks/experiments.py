@@ -32,7 +32,7 @@ from .grid import (
     random_zero_mean_field,
     slope_energy_weights,
 )
-from .symbols import alpha_critical, build_rescaled_symbols, build_symbols
+from .symbols import alpha_critical, build_rescaled_symbols
 
 __all__ = [
     "StabilityScanReport",
@@ -112,11 +112,10 @@ def run_stability_scan(
     measured, predicted, verdicts, anomalies, blowups = [], [], [], [], []
     kept: dict[float, Trajectory] = {}
     for alpha in alphas:
-        table = build_symbols(alpha, grid)
-        pred = float(np.max(table.growth_rate[1:]))
+        descriptor = make_front_equation(alpha, grid)
         traj = evolve(
             SolverConfig(
-                descriptor=make_front_equation(alpha, grid),
+                descriptor=descriptor,
                 initial_condition=ic,
                 dt=dt,
                 t_end=t_end,
@@ -137,7 +136,7 @@ def run_stability_scan(
             norms = traj.diagnostics["zero_mean_l2"]
             grew = norms[-1] > norms[0]
         measured.append(rate)
-        predicted.append(pred)
+        predicted.append(float(np.max(descriptor.linear_symbol[1:])))
         # net growth decides the verdict: far above threshold the instability
         # saturates before t_end and the late-time rate fit goes flat
         verdicts.append("unstable" if grew else "stable")
@@ -227,22 +226,21 @@ def run_convergence_study(
             vals = inverse_transform(SpectralField(grid, row))
             sup_err = max(sup_err, float(np.max(np.abs(vals))))
         sup_errors.append(sup_err)
-        zeta_raw = float(np.max(np.sqrt(diff**2 @ slope_w)))
-        zeta_sups.append(zeta_raw / eps if eps > 0 else (0.0 if zeta_raw == 0 else np.nan))
+        zeta_sups.append(float(np.max(np.sqrt(diff**2 @ slope_w))))
     sup_errors = np.asarray(sup_errors)
     # the log-log fit only makes sense off the exact eps = 0 limit
     fittable = (epsilons > 0) & (sup_errors > 0)
     order = fit_log_slope(epsilons[fittable], sup_errors[fittable]) if fittable.sum() >= 2 else np.nan
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = np.where(epsilons > 0, sup_errors / np.where(epsilons > 0, epsilons, 1.0), 0.0)
+    # at eps = 0 the rescaled run is the K-S run, so its gap is exactly 0 and stays 0
+    per_eps = np.where(epsilons > 0, epsilons, np.inf)
     report = ConvergenceReport(
         ell0=float(ell0),
         t_end=float(t_end),
         epsilons=epsilons,
         sup_errors=sup_errors,
-        ratios=ratios,
+        ratios=sup_errors / per_eps,
         fitted_order=order,
-        zeta_sup_l2=np.asarray(zeta_sups),
+        zeta_sup_l2=np.asarray(zeta_sups) / per_eps,
         blowups=blowups,
     )
     return ConvergenceStudy(report, ks_traj, trajectories)
@@ -288,7 +286,7 @@ def run_energy_monitor(
     diff = (rescaled_trajectory.coeffs[:n] - ks_trajectory.coeffs[:n]) / epsilon
     values = diff**2 @ weight
     if values[0] != 0.0:
-        raise ValueError("remainder is not null at the initial time")
+        raise ArithmeticError("remainder is not null at the initial time")
     return EnergyTrace(
         times=rescaled_trajectory.times[:n].copy(),
         values=values,

@@ -46,25 +46,39 @@ _SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Periodic interval of length ``period`` truncated to ``n_modes`` basis modes."""
+    """Periodic interval of length ``period`` truncated to ``n_modes`` basis modes.
+
+    Every other attribute is derived from those two in __post_init__, so a
+    grid (including one made by dataclasses.replace) is always consistent.
+    """
 
     period: float
     n_modes: int
-    n_points: int
-    eigenvalues: np.ndarray
-    # spectral layout, built once per grid: see _pack
-    _coeff_scale: np.ndarray = dataclasses.field(init=False, repr=False)
-    _ik: np.ndarray = dataclasses.field(init=False, repr=False)
+    n_points: int = dataclasses.field(init=False)
+    eigenvalues: np.ndarray = dataclasses.field(init=False, compare=False, repr=False)
+    # spectral layout: see _pack
+    _coeff_scale: np.ndarray = dataclasses.field(init=False, compare=False, repr=False)
+    _ik: np.ndarray = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not self.period > 0:
+            raise ValueError(f"period must be positive, got {self.period}")
+        if self.n_modes < 3:
+            raise ValueError(f"n_modes must be at least 3, got {self.n_modes}")
+        # smallest even count above 3N/2; it is >= 3K + 1 for top harmonic K, the
+        # 3/2 rule that keeps truncated quadratics alias-free
+        object.__setattr__(self, "n_points", 2 * (3 * self.n_modes // 4 + 1))
+        # wavenumbers q_j = 2 pi j / L of the harmonics j = 0..K; mode k has j = (k+1)//2
+        q = 2.0 * np.pi * np.arange(self.max_harmonic + 1) / self.period
+        object.__setattr__(self, "eigenvalues", q[(np.arange(self.n_modes) + 1) // 2] ** 2)
         # coefficient k >= 1 is sqrt(2) (-1)^j times Re z_j (cos, k odd) or
-        # -Im z_j (sin, k even), j = (k+1)//2: a sign pattern of period 4 in k
+        # -Im z_j (sin, k even): a sign pattern of period 4 in k
         scale = np.tile([-_SQRT2, _SQRT2, _SQRT2, -_SQRT2], self.n_modes // 4 + 1)
         object.__setattr__(self, "_coeff_scale", scale[: self.n_modes - 1])
         # derivative multiplier i q_j; an even truncation leaves the top cosine
         # without its sin partner, its derivative leaves the space, so it is
         # annihilated (usual Nyquist convention)
-        ik = 1j * (2.0 * np.pi * np.arange(self.max_harmonic + 1) / self.period)
+        ik = 1j * q
         if self.n_modes % 2 == 0:
             ik[-1] = 0.0
         object.__setattr__(self, "_ik", ik)
@@ -73,18 +87,6 @@ class SpectralGrid:
     def max_harmonic(self) -> int:
         """Largest trigonometric harmonic index represented (j of cos/sin(2 pi j y/L))."""
         return self.n_modes // 2
-
-    def __eq__(self, other):
-        if not isinstance(other, SpectralGrid):
-            return NotImplemented
-        return (
-            self.period == other.period
-            and self.n_modes == other.n_modes
-            and self.n_points == other.n_points
-        )
-
-    def __hash__(self):
-        return hash((self.period, self.n_modes, self.n_points))
 
 
 @dataclass(frozen=True)
@@ -104,18 +106,7 @@ class SpectralField:
 
 def make_grid(period: float, n_modes: int) -> SpectralGrid:
     """Build a grid; eigenvalues follow the exact multiplicity-2 layout."""
-    if not period > 0:
-        raise ValueError(f"period must be positive, got {period}")
-    if n_modes < 3:
-        raise ValueError(f"n_modes must be at least 3, got {n_modes}")
-    # smallest even count above 3N/2; it is >= 3K + 1 for top harmonic K, the
-    # 3/2 rule that keeps truncated quadratics alias-free
-    n_points = 2 * (3 * n_modes // 4 + 1)
-    k = np.arange(n_modes)
-    j = (k + 1) // 2
-    lam = (2.0 * np.pi * j / period) ** 2
-    lam[0] = 0.0
-    return SpectralGrid(float(period), int(n_modes), int(n_points), lam)
+    return SpectralGrid(float(period), int(n_modes))
 
 
 def collocation_points(grid: SpectralGrid, n_points: int | None = None) -> np.ndarray:
@@ -200,8 +191,6 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     """
     if s < 0:
         raise ValueError("negative orders are out of scope")
-    if s == 0:
-        return float(np.sqrt(np.sum(field.coeffs**2)))
     w = field.grid.eigenvalues**s
     return float(np.sqrt(np.sum(w * field.coeffs**2)))
 
@@ -242,10 +231,7 @@ def slope_energy_weights(grid: SpectralGrid) -> np.ndarray:
     Follows the derivative's Nyquist convention: an unpaired top cosine
     contributes nothing.
     """
-    lam = grid.eigenvalues.copy()
-    if grid.n_modes % 2 == 0:
-        lam[-1] = 0.0
-    return lam
+    return np.abs(grid._ik[(np.arange(grid.n_modes) + 1) // 2]) ** 2
 
 
 def random_zero_mean_field(grid: SpectralGrid, amplitude: float, seed: int) -> SpectralField:

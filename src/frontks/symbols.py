@@ -58,7 +58,6 @@ class RescaledSymbolTable:
     """Per-mode multipliers of the slow-scale equation at parameter eps in (0, 1]."""
 
     epsilon: float
-    ell0: float
     grid: SpectralGrid
     sqrt_factor: np.ndarray     # x = sqrt(1 + 4 eps lam)
     sqrt_shift: np.ndarray      # r = x - 1 >= 0, weight of the energy functional
@@ -115,9 +114,7 @@ def build_rescaled_symbols(epsilon: float, grid: SpectralGrid) -> RescaledSymbol
     b = epsilon * h + 1.0
     f = epsilon * m - 0.5
     s = -lam * (4.0 * lam - 1.0)
-    return RescaledSymbolTable(
-        float(epsilon), grid.period, grid, x, delta, b, s, f, h, m
-    )
+    return RescaledSymbolTable(float(epsilon), grid, x, delta, b, s, f, h, m)
 
 
 @dataclass(frozen=True)

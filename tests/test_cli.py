@@ -101,6 +101,33 @@ def test_list_flags_accept_semicolons_like_config_files(tmp_path):
     assert (out_flag / "scan.csv").read_bytes() == (out_file / "scan.csv").read_bytes()
 
 
+@pytest.mark.parametrize("key,argv", [
+    ("epsilons", ["convergence", "--ell0", "31.41592653589793", "--n-modes", "16",
+                  "--t-end", "0.2", "--dt", "0.01", "--epsilons", ","]),
+    ("n_list", ["galerkin", "--ell", "6.28", "--t-end", "0.2", "--dt", "0.01", "--n-list", ";"]),
+    ("alphas", ["stability-scan", "--ell", "6.28", "--n-modes", "16", "--t-end", "0.2",
+                "--dt", "0.01", "--alphas", ""]),
+], ids=["epsilons", "n_list", "alphas"])
+def test_empty_list_is_a_config_error(key, argv, tmp_path, capsys):
+    rc = main([*argv, "--out", str(tmp_path / "run")])
+    assert rc == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["violations"] == [f"key '{key}': empty list"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_numerical_failure_is_not_a_config_error(tmp_path, monkeypatch):
+    # LinAlgError subclasses ValueError; exit 2 stays reserved for bad configs
+    def fail(**cfg):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(frontks.experiments, "run_stability_scan", fail)
+    with pytest.raises(np.linalg.LinAlgError):
+        main([
+            "stability-scan", "--ell", "12.566370614359172", "--n-modes", "16",
+            "--alphas", "1.8", "--t-end", "1.0", "--dt", "0.1", "--out", str(tmp_path / "scan"),
+        ])
+
+
 def test_config_file_parsing_and_flag_override(tmp_path):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text(
@@ -198,6 +225,16 @@ def test_profiles_default_time_derivative_closes_jump(tmp_path):
     header, rows = _read_csv(out / "profile.csv")
     assert header == ["x", "u", "v"]
     assert len(rows) == 301
+
+
+@pytest.mark.parametrize("ell", ["0", "-6.28"])
+def test_profiles_rejects_a_non_positive_period(ell, tmp_path, capsys):
+    out = tmp_path / "prof"
+    rc = main(["profiles", "--ell", ell, "--alpha", "1", "--k", "1", "--phi", "1", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    violations = json.loads(capsys.readouterr().err)["violations"]
+    assert any("period must be positive" in v for v in violations)
+    assert not out.exists()
 
 
 def test_convergence_cli_reports_order(tmp_path):

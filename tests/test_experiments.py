@@ -1,5 +1,7 @@
 """Experiment harness: scans, convergence, energy, bounds, refinement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,15 @@ def test_energy_monitor_rejects_mismatched_trajectories():
     study_c = _paired_run(0.05, stride=7)
     with pytest.raises(ValueError):
         run_energy_monitor(study_a.rescaled_trajectories[0.05], study_c.ks_trajectory, 0.05)
+
+
+def test_energy_monitor_nonzero_initial_remainder_is_an_internal_error():
+    # an invariant of the paired run, not a bad argument: not a ValueError
+    study = _paired_run(0.05)
+    psi = study.rescaled_trajectories[0.05]
+    shifted = replace(psi, coeffs=psi.coeffs + 1e-3)
+    with pytest.raises(ArithmeticError):
+        run_energy_monitor(shifted, study.ks_trajectory, 0.05)
 
 
 def test_energy_monitor_rejects_bad_order():

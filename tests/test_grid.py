@@ -1,11 +1,14 @@
 """Spectral core: transforms, calculus, products, norms, projections."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontks.grid import (
+    SpectralGrid,
     antiderivative,
     collocation_points,
     cosine_field,
@@ -17,12 +20,14 @@ from frontks.grid import (
     mean_projection,
     mean_value,
     random_zero_mean_field,
+    slope_energy_weights,
     sobolev_norm,
     transform,
     SpectralField,
 )
 
 TWO_PI = 2.0 * np.pi
+PERIODS = (1.0, TWO_PI, 5.5, 10 * np.pi, 80.0)
 
 
 def test_grid_eigenvalue_examples():
@@ -31,22 +36,47 @@ def test_grid_eigenvalue_examples():
 
 
 def test_grid_eigenvalue_pattern_exact():
-    grid = make_grid(5.5, 64)
-    lam = grid.eigenvalues
-    assert lam[0] == 0.0
-    for j in range(1, grid.max_harmonic + 1):
-        expected = (2.0 * np.pi * j / 5.5) ** 2
-        assert lam[2 * j - 1] == expected
-        if 2 * j < grid.n_modes:
-            assert lam[2 * j] == expected
-    assert np.all(np.diff(lam) >= 0)
+    for period in PERIODS:
+        for n in range(3, 301):
+            grid = make_grid(period, n)
+            lam = grid.eigenvalues
+            expected = [(2.0 * np.pi * ((k + 1) // 2) / period) ** 2 for k in range(n)]
+            assert lam.tolist() == expected, (period, n)
+            assert lam[0] == 0.0
+            assert np.all(np.diff(lam) >= 0)
+            # the slope weights follow the Nyquist convention: only an
+            # unpaired top cosine loses its eigenvalue
+            weights = lam.copy()
+            if n % 2 == 0:
+                weights[-1] = 0.0
+            assert np.array_equal(slope_energy_weights(grid), weights), (period, n)
 
 
 def test_grid_points_even_and_sufficient():
-    for n in (3, 5, 8, 33, 256):
+    for n in range(3, 301):
         grid = make_grid(1.0, n)
         assert grid.n_points % 2 == 0
         assert grid.n_points >= int(np.ceil(1.5 * n))
+        assert grid.n_points >= 3 * grid.max_harmonic + 1
+
+
+def test_grid_is_its_period_and_truncation():
+    grid = SpectralGrid(5.5, 64)
+    assert grid == make_grid(5.5, 64) and hash(grid) == hash(make_grid(5.5, 64))
+    assert grid != make_grid(5.6, 64)
+    assert grid != make_grid(5.5, 65)
+
+
+@pytest.mark.parametrize("period,n", [(0.0, 8), (1.0, 2)])
+def test_grid_constructor_validates(period, n):
+    with pytest.raises(ValueError):
+        SpectralGrid(period, n)
+
+
+def test_replaced_grid_rederives_its_layout():
+    moved = dataclasses.replace(make_grid(1.0, 8), period=2.0)
+    assert np.array_equal(moved.eigenvalues, make_grid(2.0, 8).eigenvalues)
+    assert np.array_equal(moved._ik, make_grid(2.0, 8)._ik)
 
 
 @pytest.mark.parametrize("period,n", [(-1.0, 5), (0.0, 5), (TWO_PI, 2), (TWO_PI, 0)])
