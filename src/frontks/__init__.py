@@ -35,7 +35,6 @@ from .symbols import (
 from .evolve import (
     EquationDescriptor,
     Etdrk4,
-    NumericalBlowupError,
     SolverConfig,
     Trajectory,
     default_dt,
@@ -44,7 +43,6 @@ from .evolve import (
     make_ks_equation,
     make_rescaled_equation,
     mean_mode_ode_check,
-    step,
 )
 from .profiles import (
     FrontModeData,

@@ -520,12 +520,14 @@ def main(argv=None) -> int:
         raise  # a ValueError, but a numerical failure, not a config one
     except (ConfigError, ValueError) as err:
         # the library validates some keys only once the run starts
-        if created and not os.listdir(outdir):
-            os.rmdir(outdir)
         violations = err.violations if isinstance(err, ConfigError) else [str(err)]
         return _error(EXIT_CONFIG, error="config", violations=violations)
     except OSError as err:
         return _error(EXIT_IO, error="io", detail=str(err))
+    finally:
+        # a run directory this call made and left empty goes, however the call ends
+        if created and not os.listdir(outdir):
+            os.rmdir(outdir)
 
 
 if __name__ == "__main__":

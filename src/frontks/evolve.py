@@ -27,12 +27,10 @@ __all__ = [
     "EquationDescriptor",
     "SolverConfig",
     "Trajectory",
-    "NumericalBlowupError",
     "make_front_equation",
     "make_ks_equation",
     "make_rescaled_equation",
     "Etdrk4",
-    "step",
     "evolve",
     "default_dt",
     "mean_mode_ode_check",
@@ -78,10 +76,6 @@ def make_rescaled_equation(epsilon: float, grid: SpectralGrid) -> EquationDescri
     )
 
 
-class NumericalBlowupError(RuntimeError):
-    """State left the finite/bounded regime."""
-
-
 class Etdrk4:
     """ETDRK4 stepper specialised to one (descriptor, dt) pair."""
 
@@ -124,13 +118,6 @@ class Etdrk4:
             + 2.0 * self.coeff_f2 * (na + nb)
             + self.coeff_f3 * nc
         )
-
-
-def step(state: SpectralField, descriptor: EquationDescriptor, dt: float) -> SpectralField:
-    """Advance one ETDRK4 step (one-off; use Etdrk4 directly inside loops)."""
-    if not np.all(np.isfinite(state.coeffs)):
-        raise NumericalBlowupError("non-finite input state")
-    return SpectralField(state.grid, Etdrk4(descriptor, dt).step_coeffs(state.coeffs))
 
 
 def _whole_steps(t_end: float, dt: float) -> bool:
@@ -186,18 +173,15 @@ class Trajectory:
     times: np.ndarray
     coeffs: np.ndarray  # shape (n_snapshots, n_modes)
     diagnostics: dict = field(default_factory=dict)
-    blown_up: bool = False
-    blowup_time: float | None = None
+    blowup_time: float | None = None  # time of the first unbounded state, None if none
 
     @property
     def grid(self) -> SpectralGrid:
         return self.descriptor.grid
 
-    def state(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, self.coeffs[i])
-
-    def final_state(self) -> SpectralField:
-        return self.state(len(self.times) - 1)
+    @property
+    def blown_up(self) -> bool:
+        return self.blowup_time is not None
 
 
 def _diagnostics(grid: SpectralGrid, coeffs: np.ndarray) -> dict:
@@ -219,9 +203,11 @@ def _bounded(coeffs: np.ndarray) -> bool:
 def evolve(config: SolverConfig) -> Trajectory:
     """Run to t_end, keeping every output_stride-th state plus the final one.
 
-    Deterministic for a given config.  On blowup the trajectory collected so
-    far is returned with the blown_up flag set instead of raising; a
-    non-finite or oversized initial state blows up at time 0.
+    The one stepping driver.  Deterministic for a given config.  A state is
+    blown up once it is non-finite or its coefficient norm exceeds
+    BLOWUP_NORM; the run then stops and returns the snapshots kept so far
+    with blowup_time set, instead of raising.  A blown-up initial state
+    blows up at time 0.
     """
     n_steps = round(config.t_end / config.dt)
     stepper = Etdrk4(config.descriptor, config.dt)
@@ -245,7 +231,6 @@ def evolve(config: SolverConfig) -> Trajectory:
         times=times_arr,
         coeffs=coeff_mat,
         diagnostics=_diagnostics(config.descriptor.grid, coeff_mat),
-        blown_up=blowup_time is not None,
         blowup_time=blowup_time,
     )
 

@@ -26,7 +26,6 @@ from .evolve import (
 )
 from .grid import (
     SpectralField,
-    SpectralGrid,
     inverse_transform,
     make_grid,
     random_zero_mean_field,
@@ -158,7 +157,7 @@ class ConvergenceReport:
     ell0: float
     t_end: float
     epsilons: np.ndarray
-    sup_errors: np.ndarray   # sup over snapshots and collocation points of |psi_eps - Phi|
+    sup_errors: np.ndarray   # sup over snapshots and collocation points of |psi_eps - Phi|, nan on blowup
     ratios: np.ndarray       # sup_errors / eps
     fitted_order: float      # log-log slope; the first-order claim means >= ~1
     zeta_sup_l2: np.ndarray  # sup over snapshots of |D (psi_eps - Phi)/eps|_2
@@ -219,8 +218,12 @@ def run_convergence_study(
         trajectories[float(eps)] = traj
         if traj.blown_up:
             blowups.append(float(eps))
-        n = min(len(traj.times), len(ks_traj.times))
-        diff = traj.coeffs[:n] - ks_traj.coeffs[:n]
+        if traj.blown_up or ks_traj.blown_up:
+            # a run cut short has no gap to measure; its snapshots stop early
+            sup_errors.append(np.nan)
+            zeta_sups.append(np.nan)
+            continue
+        diff = traj.coeffs - ks_traj.coeffs
         sup_err = 0.0
         for row in diff:
             vals = inverse_transform(SpectralField(grid, row))
@@ -228,7 +231,7 @@ def run_convergence_study(
         sup_errors.append(sup_err)
         zeta_sups.append(float(np.max(np.sqrt(diff**2 @ slope_w))))
     sup_errors = np.asarray(sup_errors)
-    # the log-log fit only makes sense off the exact eps = 0 limit
+    # the log-log fit only makes sense off the exact eps = 0 limit (nan rows fail > 0)
     fittable = (epsilons > 0) & (sup_errors > 0)
     order = fit_log_slope(epsilons[fittable], sup_errors[fittable]) if fittable.sum() >= 2 else np.nan
     # at eps = 0 the rescaled run is the K-S run, so its gap is exactly 0 and stays 0
@@ -332,7 +335,7 @@ def run_ks_apriori_check(trajectory: Trajectory) -> KsAprioriReport:
 @dataclass
 class GalerkinReport:
     n_list: list[int]
-    final_diffs: np.ndarray  # L2 gap between consecutive truncations' final states
+    final_diffs: np.ndarray  # L2 gap between consecutive truncations' t_end states, nan on blowup
     max_l2: np.ndarray       # per-truncation running max of the L2 norm
     blowups: list[int]
 
@@ -369,7 +372,8 @@ def run_galerkin_refinement(
         )
         if traj.blown_up:
             blowups.append(n)
-        finals.append(traj.coeffs[-1])
+        # a blown-up truncation has no t_end state: every gap it enters is nan
+        finals.append(np.full(n, np.nan) if traj.blown_up else traj.coeffs[-1])
         max_l2.append(float(np.max(traj.diagnostics["l2"])))
     diffs = []
     for a, b in zip(finals, finals[1:]):

@@ -126,6 +126,7 @@ def test_numerical_failure_is_not_a_config_error(tmp_path, monkeypatch):
             "stability-scan", "--ell", "12.566370614359172", "--n-modes", "16",
             "--alphas", "1.8", "--t-end", "1.0", "--dt", "0.1", "--out", str(tmp_path / "scan"),
         ])
+    assert not (tmp_path / "scan").exists()  # the empty run directory is removed
 
 
 def test_config_file_parsing_and_flag_override(tmp_path):
@@ -248,6 +249,17 @@ def test_convergence_cli_reports_order(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert "fitted_order" in report
     assert len(report["sup_errors"]) == 2
+
+
+def test_convergence_blowup_row_is_not_agreement(tmp_path):
+    # both runs blow up at t=10: their gap is unknown, not zero
+    out = tmp_path / "conv"
+    rc = main(["convergence", *BLOWUP_ARGS, "--epsilons", "0.1", "--out", str(out)])
+    assert rc == EXIT_BLOWUP
+    header, rows = _read_csv(out / "convergence.csv")
+    assert header == ["epsilon", "sup_error", "ratio", "zeta_sup_l2"]
+    assert len(rows) == 1
+    assert all(math.isnan(float(v)) for v in rows[0][1:])
 
 
 def test_energy_cli(tmp_path):

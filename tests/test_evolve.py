@@ -1,5 +1,6 @@
 """Evolver: descriptors, ETDRK4 stepping, trajectories, mean-mode law."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from frontks.evolve import (
     Etdrk4,
     EquationDescriptor,
-    NumericalBlowupError,
     SolverConfig,
     Trajectory,
     default_dt,
@@ -17,7 +17,6 @@ from frontks.evolve import (
     make_ks_equation,
     make_rescaled_equation,
     mean_mode_ode_check,
-    step,
 )
 from frontks.experiments import fit_log_slope
 from frontks.grid import (
@@ -68,20 +67,20 @@ def test_rescaled_descriptor_limits():
 
 def test_zero_field_is_fixed_point():
     grid = make_grid(TWO_PI, 16)
-    z = SpectralField(grid, np.zeros(16))
-    out = step(z, make_front_equation(2.0, grid), 0.05)
-    assert np.max(np.abs(out.coeffs)) == 0.0
+    out = Etdrk4(make_front_equation(2.0, grid), 0.05).step_coeffs(np.zeros(16))
+    assert np.max(np.abs(out)) == 0.0
 
 
 def test_single_mode_linearisation():
     grid = make_grid(TWO_PI, 32)
     desc = make_front_equation(1.5, grid)
+    stepper = Etdrk4(desc, 0.02)
     for k in (1, 4, 9):
         ic = np.zeros(32)
         ic[k] = 1e-8
-        out = step(SpectralField(grid, ic), desc, 0.02)
+        out = stepper.step_coeffs(ic)
         expected = 1e-8 * np.exp(desc.linear_symbol[k] * 0.02)
-        assert abs(out.coeffs[k] / expected - 1.0) < 1e-9
+        assert abs(out[k] / expected - 1.0) < 1e-9
 
 
 def test_linear_exactness_regardless_of_stiffness():
@@ -126,15 +125,6 @@ def test_nonlinear_term_is_symbol_times_dealiased_square_of_slope(n, equation):
     expected = desc.nonlinear_symbol * slope_sq
     got = Etdrk4(desc, 1e-3).nonlinear(coeffs)
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
-
-
-def test_step_raises_on_non_finite_state():
-    grid = make_grid(TWO_PI, 8)
-    desc = make_ks_equation(grid)
-    bad = np.zeros(8)
-    bad[3] = np.nan
-    with pytest.raises(NumericalBlowupError):
-        step(SpectralField(grid, bad), desc, 0.01)
 
 
 def test_evolve_zero_initial_ks_stays_zero():
@@ -195,6 +185,17 @@ def test_evolve_non_finite_initial_state_blows_up_at_time_zero():
     assert len(traj.times) == 1
     assert traj.blown_up
     assert traj.blowup_time == 0.0
+
+
+def test_blowup_time_is_the_one_outcome_record():
+    names = [f.name for f in dataclasses.fields(Trajectory)]
+    assert names == ["descriptor", "times", "coeffs", "diagnostics", "blowup_time"]
+    desc = make_ks_equation(make_grid(TWO_PI, 8))
+    assert not Trajectory(desc, np.zeros(1), np.zeros((1, 8))).blown_up
+    traj = Trajectory(desc, np.zeros(1), np.zeros((1, 8)), blowup_time=0.5)
+    assert traj.blown_up
+    with pytest.raises(AttributeError):
+        traj.blown_up = False  # derived from blowup_time, never set on its own
 
 
 def test_solver_config_validation():
@@ -329,9 +330,3 @@ def test_front_stable_vs_unstable_norms():
     assert unstable.descriptor.linear_symbol[
         1 + np.argmax(np.abs(unstable.coeffs[-1][1:]))
     ] > 0
-
-
-def test_trajectory_state_accessors():
-    traj = _front_run(alpha=1.0, t_end=0.1)
-    assert isinstance(traj.state(0), SpectralField)
-    assert np.array_equal(traj.final_state().coeffs, traj.coeffs[-1])

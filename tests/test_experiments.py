@@ -230,6 +230,21 @@ def test_galerkin_front_above_threshold_bounded():
     assert np.max(rep.max_l2) < 1e-2
 
 
+def test_galerkin_blown_up_truncation_has_no_gap():
+    # N=16 blows up at t=150; its last kept snapshot (t=100) is no t_end state
+    rep = run_galerkin_refinement(
+        make_descriptor=make_ks_equation,
+        initial=lambda g: cosine_field(g, 5.0, 1),
+        period=80.0,
+        n_list=[16, 32],
+        t_end=250.0,
+        dt=5.0,
+        output_stride=10,
+    )
+    assert rep.blowups == [16]
+    assert np.isnan(rep.final_diffs[0])
+
+
 def test_galerkin_requires_increasing_truncations():
     with pytest.raises(ValueError):
         run_galerkin_refinement(
