@@ -2,10 +2,15 @@
 """Reproduce the headline studies through the CLI, one output dir per study.
 
 Usage: python scripts/run_all.py [outdir]   (default ./runs)
+
+Each study's == line ends with its wall time in seconds.
 """
 
+import contextlib
+import io
 import pathlib
 import sys
+import time
 
 from frontks.cli import main
 
@@ -31,8 +36,14 @@ def run(base: pathlib.Path) -> int:
     worst = 0
     for name, args in STUDIES:
         out = base / name
-        print(f"== {name} -> {out}")
-        rc = main([name, *args, "--out", str(out)])
+        # the study's own stdout is held back so that its == line, which
+        # carries the wall time, still comes first
+        printed = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(printed):
+            rc = main([name, *args, "--out", str(out)])
+        print(f"== {name} -> {out} ({time.perf_counter() - start:.2f} s)")
+        print(printed.getvalue(), end="")
         if rc != 0:
             print(f"   exited with {rc}")
             worst = max(worst, rc)

@@ -352,6 +352,14 @@ def _run_convergence(cfg):
 
 def _run_energy(cfg):
     eps = cfg["epsilon"]
+    # checked here because the library only sees these after both evolutions
+    violations = []
+    if cfg["order"] not in (0, 1, 2):
+        violations.append(f"key 'order': must be 0, 1 or 2, got {cfg['order']}")
+    if not 0 < eps <= 1:
+        violations.append(f"key 'epsilon': must lie in (0, 1], got {eps:g}")
+    if violations:
+        raise ConfigError(violations)
     study = _convergence(cfg, [eps])
     trace = xp.run_energy_monitor(
         study.rescaled_trajectories[eps], study.ks_trajectory, eps, cfg["order"]

@@ -88,14 +88,17 @@ class Etdrk4:
         self.exp_full = np.exp(z)
         self.exp_half = np.exp(0.5 * z)
         # contour average of the phi functions (circle of radius 1 about each z),
-        # 16 points as fixed by Kassam & Trefethen (2005)
+        # 16 points as fixed by Kassam & Trefethen (2005); evaluated once per
+        # distinct z (each cos/sin pair shares one) and spread back with inv
+        zu, inv = np.unique(z, return_inverse=True)
         r = np.exp(1j * np.pi * (np.arange(16) + 0.5) / 16)
-        zr = z[:, None] + r[None, :]
+        zr = zu[:, None] + r[None, :]
         ez = np.exp(zr)
-        self.coeff_q = dt * ((np.exp(0.5 * zr) - 1.0) / zr).mean(1).real
-        self.coeff_f1 = dt * ((-4.0 - zr + ez * (4.0 - 3.0 * zr + zr**2)) / zr**3).mean(1).real
-        self.coeff_f2 = dt * ((2.0 + zr + ez * (zr - 2.0)) / zr**3).mean(1).real
-        self.coeff_f3 = dt * ((-4.0 - 3.0 * zr - zr**2 + ez * (4.0 - zr)) / zr**3).mean(1).real
+        zr3 = zr**3
+        self.coeff_q = dt * ((np.exp(0.5 * zr) - 1.0) / zr).mean(1).real[inv]
+        self.coeff_f1 = dt * ((-4.0 - zr + ez * (4.0 - 3.0 * zr + zr**2)) / zr3).mean(1).real[inv]
+        self.coeff_f2 = dt * ((2.0 + zr + ez * (zr - 2.0)) / zr3).mean(1).real[inv]
+        self.coeff_f3 = dt * ((-4.0 - 3.0 * zr - zr**2 + ez * (4.0 - zr)) / zr3).mean(1).real[inv]
 
     def nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
         # G * dealiased (d/dy)^2, the derivative taken in the packed spectrum

@@ -275,6 +275,25 @@ def test_energy_cli(tmp_path):
     assert float(rows[0][1]) == 0.0  # null remainder at tau = 0
 
 
+@pytest.mark.parametrize("flag,value,key", [
+    ("--order", "3", "order"), ("--epsilon", "0", "epsilon"), ("--epsilon", "1.5", "epsilon"),
+])
+def test_energy_rejects_bad_order_or_epsilon_before_evolving(flag, value, key, tmp_path, monkeypatch, capsys):
+    evolved = []
+    for module in (frontks.cli, frontks.experiments):
+        monkeypatch.setattr(module, "evolve", lambda config: evolved.append(config))
+    args = {
+        "--ell0": "31.41592653589793", "--n-modes": "32", "--epsilon": "0.05",
+        "--t-end": "0.3", "--dt": "0.002", flag: value,
+    }
+    rc = main(["energy", *[x for kv in args.items() for x in kv], "--out", str(tmp_path / "en")])
+    assert rc == EXIT_CONFIG
+    assert evolved == []
+    (violation,) = json.loads(capsys.readouterr().err)["violations"]
+    assert violation.startswith(f"key '{key}'")
+    assert not (tmp_path / "en").exists()
+
+
 def test_energy_blowup_exit_code(tmp_path):
     out = tmp_path / "en"
     rc = main(["energy", *BLOWUP_ARGS, "--epsilon", "0.1", "--out", str(out)])

@@ -115,6 +115,45 @@ EQUATIONS = {
 }
 
 
+def _per_mode_coefficients(z, dt):
+    """The contour averages evaluated independently for every mode."""
+    r = np.exp(1j * np.pi * (np.arange(16) + 0.5) / 16)
+    zr = z[:, None] + r[None, :]
+    ez = np.exp(zr)
+    return (
+        dt * ((np.exp(0.5 * zr) - 1.0) / zr).mean(1).real,
+        dt * ((-4.0 - zr + ez * (4.0 - 3.0 * zr + zr**2)) / zr**3).mean(1).real,
+        dt * ((2.0 + zr + ez * (zr - 2.0)) / zr**3).mean(1).real,
+        dt * ((-4.0 - 3.0 * zr - zr**2 + ez * (4.0 - zr)) / zr**3).mean(1).real,
+    )
+
+
+def _distinct_symbol_equation(grid):
+    """Seeded random linear symbol: no two modes share a contour."""
+    lin = -np.random.default_rng(grid.n_modes).uniform(0.0, 50.0, grid.n_modes)
+    return EquationDescriptor(grid, lin, np.full(grid.n_modes, -0.5), "distinct")
+
+
+@pytest.mark.parametrize("equation", [*sorted(EQUATIONS), "distinct"])
+@pytest.mark.parametrize("n", [64, 1024, 2048])
+def test_stepper_coefficients_built_once_per_distinct_symbol(n, equation):
+    grid = make_grid(80.0, n)
+    desc = {**EQUATIONS, "distinct": _distinct_symbol_equation}[equation](grid)
+    dt = 0.002
+    st = Etdrk4(desc, dt)
+    got = (st.coeff_q, st.coeff_f1, st.coeff_f2, st.coeff_f3)
+    z = dt * desc.linear_symbol
+    if equation == "distinct":
+        assert len(np.unique(z)) == n
+    for value in np.unique(z):
+        same = np.flatnonzero(z == value)
+        for c in got:
+            assert np.all(c[same] == c[same[0]])
+    for c, want in zip(got, _per_mode_coefficients(z, dt)):
+        assert np.all(want != 0)
+        assert np.max(np.abs(c - want) / np.abs(want)) <= 1e-12
+
+
 @pytest.mark.parametrize("equation", sorted(EQUATIONS))
 @pytest.mark.parametrize("n", [3, 4, 19, 64, 65, 66, 2048])  # even n: unpaired top cosine
 def test_nonlinear_term_is_symbol_times_dealiased_square_of_slope(n, equation):

@@ -60,6 +60,24 @@ def test_grid_points_even_and_sufficient():
         assert grid.n_points >= 3 * grid.max_harmonic + 1
 
 
+def _prime_factors_at_most_7(m):
+    for p in (2, 3, 5, 7):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_grid_points_are_the_smallest_fft_friendly_count():
+    # pocketfft is slow on counts with a large prime factor (2 * 97 at N = 128)
+    for n in range(3, 4097):
+        points = make_grid(1.0, n).n_points
+        floor = 2 * (3 * n // 4 + 1)
+        assert points % 2 == 0 and points >= floor, n
+        assert _prime_factors_at_most_7(points), n
+        assert not any(_prime_factors_at_most_7(m) for m in range(floor, points, 2)), n
+    assert [make_grid(1.0, n).n_points for n in (64, 128, 1024, 2048)] == [98, 196, 1568, 3136]
+
+
 def test_grid_is_its_period_and_truncation():
     grid = SpectralGrid(5.5, 64)
     assert grid == make_grid(5.5, 64) and hash(grid) == hash(make_grid(5.5, 64))
@@ -194,7 +212,7 @@ def _standard_normal_field(grid, seed):
     return SpectralField(grid, np.random.default_rng(seed).standard_normal(grid.n_modes))
 
 
-@pytest.mark.parametrize("n", [21, 64, 65, 66])
+@pytest.mark.parametrize("n", [21, 64, 65, 66, 128, 1024])
 def test_square_against_fine_grid_quadrature_oracle(n):
     grid = make_grid(3.7, n)
     for seed in (0, 1, 2):
@@ -204,7 +222,7 @@ def test_square_against_fine_grid_quadrature_oracle(n):
         assert np.max(np.abs(got - want)) < 1e-10
 
 
-@pytest.mark.parametrize("n", [64, 65, 66])
+@pytest.mark.parametrize("n", [64, 65, 66, 128, 1024])
 def test_square_on_own_collocation_points_is_alias_free(n):
     # n_points alone must satisfy the 3/2 rule (>= 3K + 1 points for top
     # harmonic K); with n_modes = 0 mod 4, 3N/2 points alias onto the top cosine
