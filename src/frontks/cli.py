@@ -51,15 +51,21 @@ EXIT_IO = 4
 OUTPUT_DIR_ENV = "FRONTKS_OUTDIR"
 
 
-def _fmt(x) -> str:
-    return x if isinstance(x, str) else format(x, ".17g")
-
-
 def write_csv(path: str, header: list[str], rows) -> None:
+    """Header line, then one line per row: str as is, numbers to 17 significant digits.
+
+    Each column keeps the type of its first row, so one %-format built from
+    that row serves every line.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        if first is None:
+            return
+        line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\n"
+        fh.write(line % tuple(first))
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def write_json(path: str, payload: dict) -> None:

@@ -40,6 +40,14 @@ __all__ = [
 
 BLOWUP_NORM = 1e8
 
+# Etdrk4 evaluates the nonlinear term by two dense matrix-vector products on the
+# collocation points up to this many modes and by an FFT pair above it: for a
+# few hundred points a matrix product beats the per-call cost of an FFT.  Time
+# per nonlinear call, matrices over FFT, single-threaded BLAS on a 2-core x86
+# box: 0.23 at N=64, 0.31 at 96, 0.38 at 128, 0.6 at 160-192, 1.0-1.3 at 256.
+# Above 128 the margin shrinks while the matrices' memory and build grow as N^2.
+MATRIX_MAX_MODES = 128
+
 
 @dataclass(frozen=True)
 class EquationDescriptor:
@@ -99,9 +107,17 @@ class Etdrk4:
         self.coeff_f1 = dt * ((-4.0 - zr + ez * (4.0 - 3.0 * zr + zr**2)) / zr3).mean(1).real[inv]
         self.coeff_f2 = dt * ((2.0 + zr + ez * (zr - 2.0)) / zr3).mean(1).real[inv]
         self.coeff_f3 = dt * ((-4.0 - 3.0 * zr - zr**2 + ez * (4.0 - zr)) / zr3).mean(1).real[inv]
+        grid = descriptor.grid
+        self._slope = None  # the FFT path
+        if grid.n_modes <= MATRIX_MAX_MODES:
+            self._slope, analysis = grid._collocation_matrices
+            self._analysis = descriptor.nonlinear_symbol[:, None] * analysis
 
     def nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
-        # G * dealiased (d/dy)^2, the derivative taken in the packed spectrum
+        # G * dealiased (d/dy)^2, squared on the collocation points
+        if self._slope is not None:
+            return self._analysis @ np.square(self._slope @ coeffs)
+        # the derivative taken in the packed spectrum
         grid = self.descriptor.grid
         slope_sq = _square_spectrum(grid, _pack(grid, coeffs) * grid._ik)
         return self.descriptor.nonlinear_symbol * slope_sq

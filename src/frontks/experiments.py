@@ -190,6 +190,10 @@ def run_convergence_study(
     epsilons = np.asarray(list(epsilons), dtype=float)
     if np.any(np.diff(epsilons) >= 0):
         raise ValueError("epsilons must be strictly decreasing")
+    # checked before any run; eps = 0 is the exact limit (make_rescaled_equation)
+    outside = epsilons[~((epsilons >= 0) & (epsilons <= 1))]
+    if outside.size:
+        raise ValueError(f"epsilons must lie in [0, 1], got {', '.join(f'{e:g}' for e in outside)}")
     grid = phi0.grid
     if grid.period != ell0:
         raise ValueError("phi0 must live on a grid of period ell0")

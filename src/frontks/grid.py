@@ -20,6 +20,7 @@ times slower on counts with a large prime factor (2 * 769 at n_modes = 1024).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,9 +89,9 @@ class SpectralGrid:
         q = 2.0 * np.pi * np.arange(self.max_harmonic + 1) / self.period
         object.__setattr__(self, "eigenvalues", q[(np.arange(self.n_modes) + 1) // 2] ** 2)
         # coefficient k >= 1 is sqrt(2) (-1)^j times Re z_j (cos, k odd) or
-        # -Im z_j (sin, k even): a sign pattern of period 4 in k
+        # -Im z_j (sin, k even): a sign pattern of period 4 in k; the mean is Re z_0
         scale = np.tile([-_SQRT2, _SQRT2, _SQRT2, -_SQRT2], self.n_modes // 4 + 1)
-        object.__setattr__(self, "_coeff_scale", scale[: self.n_modes - 1])
+        object.__setattr__(self, "_coeff_scale", np.r_[1.0, scale[: self.n_modes - 1]])
         # derivative multiplier i q_j; an even truncation leaves the top cosine
         # without its sin partner, its derivative leaves the space, so it is
         # annihilated (usual Nyquist convention)
@@ -103,6 +104,22 @@ class SpectralGrid:
     def max_harmonic(self) -> int:
         """Largest trigonometric harmonic index represented (j of cos/sin(2 pi j y/L))."""
         return self.n_modes // 2
+
+    @functools.cached_property
+    def _collocation_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """(slope, analysis): the two transforms of _square_spectrum as dense matrices.
+
+        slope (n_points x n_modes) maps coefficients to the first derivative at
+        the collocation points.  analysis (n_modes x n_points) is values /
+        n_points, where values[k, i] is basis function k at point i; by discrete
+        orthogonality (n_points > 2K) it maps the values of any product of two
+        retained functions back to its coefficients exactly.  Cached, so all
+        steppers on one grid share one build: one batched irfft per matrix.
+        """
+        spectra = _pack(self, np.eye(self.n_modes))
+        values = np.fft.irfft(spectra, self.n_points, norm="forward")
+        slope = np.fft.irfft(spectra * self._ik, self.n_points, norm="forward")
+        return np.ascontiguousarray(slope.T), values / self.n_points
 
 
 @dataclass(frozen=True)
@@ -134,24 +151,27 @@ def collocation_points(grid: SpectralGrid, n_points: int | None = None) -> np.nd
 def _pack(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     """Real-basis coefficients -> half-complex spectrum z_0..z_K (rfft layout).
 
+    Leading axes are batch axes: each row along the last axis is packed alone.
+
     The values at n collocation points are irfft(z, n, norm="forward").  As a
     float array, z interleaves (Re z_j, Im z_j), which lines up with the
     (cos_j, sin_j) coefficient pairs; grid._coeff_scale carries the sqrt(2), the
     sign of each sin and the phase (-1)^j from points starting at -L/2.  An
     even truncation leaves the top cosine unpaired, so Im z_K stays zero.
     """
-    buf = np.zeros(2 * grid.max_harmonic + 2)
-    buf[0] = coeffs[0]
-    buf[2 : grid.n_modes + 1] = coeffs[1:] / grid._coeff_scale
+    buf = np.zeros((*coeffs.shape[:-1], 2 * grid.max_harmonic + 2))
+    buf[..., 0] = coeffs[..., 0]
+    buf[..., 2 : grid.n_modes + 1] = coeffs[..., 1:] / grid._coeff_scale[1:]
     return buf.view(complex)
 
 
 def _unpack(grid: SpectralGrid, spectrum: np.ndarray) -> np.ndarray:
     """Inverse of _pack: harmonics above K and the unpaired top sin are dropped."""
     flat = spectrum.view(float)
-    coeffs = np.empty(grid.n_modes)
-    coeffs[0] = flat[0]
-    coeffs[1:] = flat[2 : grid.n_modes + 1] * grid._coeff_scale
+    # one product lines coefficient k >= 1 up with flat[k + 1]; its first entry
+    # (Im z_0) is then overwritten by the mean, Re z_0
+    coeffs = flat[..., 1 : grid.n_modes + 1] * grid._coeff_scale
+    coeffs[..., 0] = flat[..., 0]
     return coeffs
 
 

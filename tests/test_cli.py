@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,9 +21,12 @@ from frontks.cli import (
     main,
     read_config_file,
     resolve_config,
+    write_csv,
 )
 from frontks.evolve import Etdrk4, default_dt
 from frontks.grid import make_grid
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 # settings under which every K-S and slow-scale run blows up within a few steps
 BLOWUP_ARGS = ["--ell0", "80", "--n-modes", "64", "--t-end", "50", "--dt", "5", "--amplitude", "50"]
@@ -162,6 +169,45 @@ def test_stability_scan_byte_identical_reruns(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
+def test_write_csv_writes_17_significant_digits_byte_for_byte(tmp_path):
+    rows = [
+        ["stable", 3, 0.1, np.float64(-2.5e-7), float("nan")],
+        ["unstable", -12, float("inf"), np.float64(float("-inf")), -0.0],
+        ["x", 10**20, 1e-300, np.float64(1 / 3), np.float64(float("nan"))],
+    ]
+    path = tmp_path / "rows.csv"
+    write_csv(str(path), ["a", "b", "c", "d", "e"], iter(rows))  # rows may be one-pass
+    want = "a,b,c,d,e\n" + "".join(
+        ",".join(v if isinstance(v, str) else format(v, ".17g") for v in row) + "\n"
+        for row in rows
+    )
+    assert path.read_bytes() == want.encode()
+    write_csv(str(path), ["a"], iter([]))
+    assert path.read_bytes() == b"a\n"
+
+
+@pytest.mark.parametrize("subcommand,args", [
+    ("stability-scan", ["--ell", "12.566370614359172", "--n-modes", "64", "--alphas", "1.8,2.2",
+                        "--t-end", "1.0", "--dt", "0.01", "--seed", "5"]),
+    ("evolve-rescaled", ["--ell0", "31.41592653589793", "--epsilon", "0.04", "--n-modes", "128",
+                         "--t-end", "0.05", "--dt", "0.001"]),
+])
+def test_csv_bytes_do_not_depend_on_the_blas_thread_count(subcommand, args, tmp_path):
+    # the nonlinear term is a BLAS matrix product at these sizes
+    src = str(pathlib.Path(frontks.cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run(
+            [sys.executable, "-m", "frontks.cli", subcommand, *args, "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 def test_evolve_front_writes_trajectory(tmp_path):
     out = tmp_path / "run"
     rc = main([
@@ -260,6 +306,28 @@ def test_convergence_blowup_row_is_not_agreement(tmp_path):
     assert header == ["epsilon", "sup_error", "ratio", "zeta_sup_l2"]
     assert len(rows) == 1
     assert all(math.isnan(float(v)) for v in rows[0][1:])
+
+
+@pytest.mark.parametrize("epsilons", ["0.1,0.05,-0.01", "1.5,0.1"])
+def test_convergence_rejects_epsilons_outside_unit_interval_before_evolving(
+    epsilons, tmp_path, monkeypatch, capsys
+):
+    evolved = []
+    original = frontks.experiments.evolve
+
+    def counted(config):
+        evolved.append(config)
+        return original(config)
+
+    monkeypatch.setattr(frontks.experiments, "evolve", counted)
+    rc = main([
+        "convergence", "--config", str(CONFIGS / "convergence.cfg"),
+        "--epsilons", epsilons, "--out", str(tmp_path / "conv"),
+    ])
+    assert rc == EXIT_CONFIG
+    assert evolved == []
+    (violation,) = json.loads(capsys.readouterr().err)["violations"]
+    assert violation.startswith("epsilons must lie in [0, 1]")
 
 
 def test_energy_cli(tmp_path):

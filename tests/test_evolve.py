@@ -155,7 +155,8 @@ def test_stepper_coefficients_built_once_per_distinct_symbol(n, equation):
 
 
 @pytest.mark.parametrize("equation", sorted(EQUATIONS))
-@pytest.mark.parametrize("n", [3, 4, 19, 64, 65, 66, 2048])  # even n: unpaired top cosine
+# even n: unpaired top cosine; 128 and 129 straddle evolve.MATRIX_MAX_MODES
+@pytest.mark.parametrize("n", [3, 4, 19, 64, 65, 66, 128, 129, 2048])
 def test_nonlinear_term_is_symbol_times_dealiased_square_of_slope(n, equation):
     grid = make_grid(TWO_PI, n)
     desc = EQUATIONS[equation](grid)
@@ -164,6 +165,43 @@ def test_nonlinear_term_is_symbol_times_dealiased_square_of_slope(n, equation):
     expected = desc.nonlinear_symbol * slope_sq
     got = Etdrk4(desc, 1e-3).nonlinear(coeffs)
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n,ffts_per_step", [(128, 0), (129, 8)])
+def test_evolve_takes_ffts_only_above_the_matrix_size(n, ffts_per_step, monkeypatch):
+    # up to MATRIX_MAX_MODES the nonlinear term is two matrix products; above
+    # it, one irfft/rfft pair per nonlinear evaluation, four per step
+    ffts = []
+
+    def counted(fft):
+        def call(*args, **kwargs):
+            ffts.append(fft.__name__)
+            return fft(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft))
+    build = Etdrk4.__init__
+
+    def build_then_reset(self, *args):
+        build(self, *args)
+        ffts.clear()
+
+    grid = make_grid(10 * np.pi, n)
+    Etdrk4(make_ks_equation(grid), 1e-3)
+    # the matrices are cached on the grid, each built by one batched irfft
+    assert len(ffts) == (2 if ffts_per_step == 0 else 0)
+    monkeypatch.setattr(Etdrk4, "__init__", build_then_reset)
+    evolve(
+        SolverConfig(
+            descriptor=make_rescaled_equation(0.04, grid),
+            initial_condition=cosine_field(grid, 0.1),
+            dt=1e-3,
+            t_end=5e-3,
+        )
+    )
+    assert len(ffts) == ffts_per_step * 5
 
 
 def test_evolve_zero_initial_ks_stays_zero():

@@ -24,6 +24,8 @@ from frontks.grid import (
     sobolev_norm,
     transform,
     SpectralField,
+    _pack,
+    _unpack,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -210,6 +212,20 @@ def _standard_normal_field(grid, seed):
     """Seeded O(1) coefficients on every mode, so the top harmonics are as
     large as the bottom ones and any aliasing onto them shows."""
     return SpectralField(grid, np.random.default_rng(seed).standard_normal(grid.n_modes))
+
+
+@pytest.mark.parametrize("n", [3, 4, 64, 129])
+def test_batched_pack_and_unpack_equal_row_wise_calls(n):
+    grid = make_grid(3.7, n)
+    rng = np.random.default_rng(n)
+    coeffs = rng.standard_normal((2, 3, n))
+    spectra = rng.standard_normal((2, 3, 2 * grid.max_harmonic + 2)).view(complex)
+    packed, unpacked = _pack(grid, coeffs), _unpack(grid, spectra)
+    assert packed.shape == (2, 3, grid.max_harmonic + 1)
+    assert unpacked.shape == (2, 3, n)
+    for row in np.ndindex(2, 3):
+        assert np.array_equal(packed[row], _pack(grid, coeffs[row]))
+        assert np.array_equal(unpacked[row], _unpack(grid, spectra[row]))
 
 
 @pytest.mark.parametrize("n", [21, 64, 65, 66, 128, 1024])
