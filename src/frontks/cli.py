@@ -330,13 +330,12 @@ def _cmd_profiles(cfg, outdir) -> int:
 
 
 # ---------------------------------------------------------------------------
-# report studies: run(cfg) -> (report dataclass, blew up), written by _write_report
+# report studies: run(cfg) -> report dataclass, written by _write_report
 
 
-def _run_scan(cfg):
+def _run_scan(cfg) -> xp.StabilityScanReport:
     # the keys are run_stability_scan's parameters, looked up when the scan runs
-    report = xp.run_stability_scan(**cfg)
-    return report, bool(report.blowups)
+    return xp.run_stability_scan(**cfg)
 
 
 def _convergence(cfg, epsilons) -> xp.ConvergenceStudy:
@@ -351,12 +350,11 @@ def _convergence(cfg, epsilons) -> xp.ConvergenceStudy:
     )
 
 
-def _run_convergence(cfg):
-    report = _convergence(cfg, sorted(cfg["epsilons"], reverse=True)).report
-    return report, bool(report.blowups)
+def _run_convergence(cfg) -> xp.ConvergenceReport:
+    return _convergence(cfg, sorted(cfg["epsilons"], reverse=True)).report
 
 
-def _run_energy(cfg):
+def _run_energy(cfg) -> xp.EnergyTrace:
     eps = cfg["epsilon"]
     # checked here because the library only sees these after both evolutions
     violations = []
@@ -367,19 +365,15 @@ def _run_energy(cfg):
     if violations:
         raise ConfigError(violations)
     study = _convergence(cfg, [eps])
-    trace = xp.run_energy_monitor(
-        study.rescaled_trajectories[eps], study.ks_trajectory, eps, cfg["order"]
-    )
-    return trace, bool(study.report.blowups)
+    return xp.run_energy_monitor(study.rescaled_trajectories[eps], study.ks_trajectory, eps, cfg["order"])
 
 
-def _run_ks_apriori(cfg):
-    traj = _single_run("ks", cfg)
-    return xp.run_ks_apriori_check(traj), traj.blown_up
+def _run_ks_apriori(cfg) -> xp.KsAprioriReport:
+    return xp.run_ks_apriori_check(_single_run("ks", cfg))
 
 
-def _run_galerkin(cfg):
-    report = xp.run_galerkin_refinement(
+def _run_galerkin(cfg) -> xp.GalerkinReport:
+    return xp.run_galerkin_refinement(
         make_descriptor=_equation(cfg["equation"], cfg),
         initial=lambda g: cosine_field(g, cfg["amplitude"], cfg["harmonic"]),
         period=cfg["ell"],
@@ -388,18 +382,20 @@ def _run_galerkin(cfg):
         dt=cfg["dt"],
         output_stride=cfg["output_stride"],
     )
-    return report, bool(report.blowups)
 
 
-def _write_report(study: Study, report, blew_up: bool, cfg: dict, outdir: str) -> int:
-    """CSV from the study's columns; report.json is every report field but trajectories."""
+def _write_report(study: Study, report, cfg: dict, outdir: str) -> int:
+    """CSV from the study's columns; report.json is every report field but trajectories.
+
+    Exit 3 iff the report lists a run that blew up.
+    """
     csv_path = os.path.join(outdir, study.csv)
     columns = [c(report) if callable(c) else getattr(report, c) for c in study.columns.values()]
     write_csv(csv_path, list(study.columns), zip(*columns))
     payload = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "trajectories"}
     write_json(os.path.join(outdir, "report.json"), {**payload, "config": cfg})
     print(csv_path)
-    return EXIT_BLOWUP if blew_up else EXIT_OK
+    return EXIT_BLOWUP if report.blowups else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +407,9 @@ class Study:
     """One subcommand: its config keys, what it runs and, for report studies, its CSV.
 
     ``required`` keys must be set; ``optional`` maps the others to their
-    defaults.  With ``csv`` set, ``run(cfg)`` returns ``(report, blew_up)``
-    and ``_write_report`` writes it, ``columns`` mapping each CSV header to a
-    report field name or a getter.  Without it, ``run(cfg, outdir)`` writes
+    defaults.  With ``csv`` set, ``run(cfg)`` returns a report that lists
+    its blown-up runs in ``blowups`` and ``_write_report`` writes it,
+    ``columns`` mapping each CSV header to a report field name or a getter.  Without it, ``run(cfg, outdir)`` writes
     its own outputs and returns the exit code.  A ``run`` looks up the
     module attributes it calls at call time, so wrappers set on them are seen.
     """
@@ -529,7 +525,7 @@ def main(argv=None) -> int:
         outdir, created = _output_dir(args, args.subcommand)
         if study.csv is None:
             return study.run(cfg, outdir)
-        return _write_report(study, *study.run(cfg), cfg, outdir)
+        return _write_report(study, study.run(cfg), cfg, outdir)
     except np.linalg.LinAlgError:
         raise  # a ValueError, but a numerical failure, not a config one
     except (ConfigError, ValueError) as err:

@@ -24,13 +24,7 @@ from .evolve import (
     make_ks_equation,
     make_rescaled_equation,
 )
-from .grid import (
-    SpectralField,
-    inverse_transform,
-    make_grid,
-    random_zero_mean_field,
-    slope_energy_weights,
-)
+from .grid import SpectralField, _pack, make_grid, random_zero_mean_field, slope_energy_weights
 from .symbols import alpha_critical, build_rescaled_symbols
 
 __all__ = [
@@ -50,6 +44,21 @@ __all__ = [
     "run_galerkin_refinement",
     "etdrk4_order_check",
 ]
+
+
+def _evolve_each(configs, blowups: list):
+    """Evolve each (key, SolverConfig) pair in order, yielding (key, trajectory).
+
+    The one run loop of every study: the key of each run that blows up is
+    appended to ``blowups``.  Lazy, so a sweep holds one trajectory at a time
+    unless its caller keeps them; callers build every config first, so a bad
+    member is rejected before the first step.
+    """
+    for key, config in configs:
+        traj = evolve(config)
+        if traj.blown_up:
+            blowups.append(key)
+        yield key, traj
 
 
 def fit_log_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -108,23 +117,16 @@ def run_stability_scan(
     grid = make_grid(ell, n_modes)
     ic = random_zero_mean_field(grid, amplitude, seed)
     a_c = alpha_critical(ell)
+    configs = [
+        (float(alpha), SolverConfig(make_front_equation(alpha, grid), ic, dt, t_end, output_stride))
+        for alpha in alphas
+    ]
     measured, predicted, verdicts, anomalies, blowups = [], [], [], [], []
     kept: dict[float, Trajectory] = {}
-    for alpha in alphas:
-        descriptor = make_front_equation(alpha, grid)
-        traj = evolve(
-            SolverConfig(
-                descriptor=descriptor,
-                initial_condition=ic,
-                dt=dt,
-                t_end=t_end,
-                output_stride=output_stride,
-            )
-        )
+    for alpha, traj in _evolve_each(configs, blowups):
         if keep_trajectories:
-            kept[float(alpha)] = traj
+            kept[alpha] = traj
         if traj.blown_up:
-            blowups.append(float(alpha))
             anomalies.append(
                 f"alpha={alpha:g}: blowup at t={traj.blowup_time:g}"
                 + (" on a nominally stable parameter" if alpha < a_c else "")
@@ -135,7 +137,7 @@ def run_stability_scan(
             norms = traj.diagnostics["zero_mean_l2"]
             grew = norms[-1] > norms[0]
         measured.append(rate)
-        predicted.append(float(np.max(descriptor.linear_symbol[1:])))
+        predicted.append(float(np.max(traj.descriptor.linear_symbol[1:])))
         # net growth decides the verdict: far above threshold the instability
         # saturates before t_end and the late-time rate fit goes flat
         verdicts.append("unstable" if grew else "stable")
@@ -197,42 +199,27 @@ def run_convergence_study(
     grid = phi0.grid
     if grid.period != ell0:
         raise ValueError("phi0 must live on a grid of period ell0")
-    ks_traj = evolve(
-        SolverConfig(
-            descriptor=make_ks_equation(grid),
-            initial_condition=phi0,
-            dt=dt,
-            t_end=t_end,
-            output_stride=output_stride,
-        )
-    )
+    # the K-S run first, keyed 0 (the exact limit), then one run per eps
+    configs = [(0.0, SolverConfig(make_ks_equation(grid), phi0, dt, t_end, output_stride))]
+    configs += [
+        (float(eps), SolverConfig(make_rescaled_equation(eps, grid), phi0, dt, t_end, output_stride))
+        for eps in epsilons
+    ]
     slope_w = slope_energy_weights(grid)
     sup_errors, zeta_sups, blowups = [], [], []
     trajectories: dict[float, Trajectory] = {}
-    for eps in epsilons:
-        traj = evolve(
-            SolverConfig(
-                descriptor=make_rescaled_equation(eps, grid),
-                initial_condition=phi0,
-                dt=dt,
-                t_end=t_end,
-                output_stride=output_stride,
-            )
-        )
-        trajectories[float(eps)] = traj
-        if traj.blown_up:
-            blowups.append(float(eps))
+    runs = _evolve_each(configs, blowups)
+    _, ks_traj = next(runs)
+    for eps, traj in runs:
+        trajectories[eps] = traj
         if traj.blown_up or ks_traj.blown_up:
             # a run cut short has no gap to measure; its snapshots stop early
             sup_errors.append(np.nan)
             zeta_sups.append(np.nan)
             continue
         diff = traj.coeffs - ks_traj.coeffs
-        sup_err = 0.0
-        for row in diff:
-            vals = inverse_transform(SpectralField(grid, row))
-            sup_err = max(sup_err, float(np.max(np.abs(vals))))
-        sup_errors.append(sup_err)
+        values = np.fft.irfft(_pack(grid, diff), grid.n_points, norm="forward")
+        sup_errors.append(float(np.max(np.abs(values))))
         zeta_sups.append(float(np.max(np.sqrt(diff**2 @ slope_w))))
     sup_errors = np.asarray(sup_errors)
     # the log-log fit only makes sense off the exact eps = 0 limit (nan rows fail > 0)
@@ -260,6 +247,7 @@ class EnergyTrace:
     order: int          # derivative order n of the functional
     epsilon: float
     observed_bound: float  # running max, the empirical uniform bound
+    blowups: list[float]   # the runs that blew up: epsilon, or 0 for the K-S run
 
 
 def run_energy_monitor(
@@ -294,12 +282,15 @@ def run_energy_monitor(
     values = diff**2 @ weight
     if values[0] != 0.0:
         raise ArithmeticError("remainder is not null at the initial time")
+    # a blown-up run cuts the trace at its last snapshot; the K-S run is listed as eps = 0
+    runs = ((0.0, ks_trajectory), (float(epsilon), rescaled_trajectory))
     return EnergyTrace(
         times=rescaled_trajectory.times[:n].copy(),
         values=values,
         order=order,
         epsilon=float(epsilon),
         observed_bound=float(np.max(values)),
+        blowups=[key for key, traj in runs if traj.blown_up],
     )
 
 
@@ -314,6 +305,7 @@ class KsAprioriReport:
     mean_bound_ok: bool
     min_slope_margin: float    # min(bound - value), >= 0 when the bound holds
     min_mean_margin: float
+    blowups: list[float]       # [0.0] when the K-S run blew up, else empty
 
 
 def run_ks_apriori_check(trajectory: Trajectory) -> KsAprioriReport:
@@ -333,6 +325,7 @@ def run_ks_apriori_check(trajectory: Trajectory) -> KsAprioriReport:
         mean_bound_ok=bool(np.all(mean_abs <= mean_bound * (1 + 1e-12))),
         min_slope_margin=float(np.min(slope_bound - slope)),
         min_mean_margin=float(np.min(mean_bound - mean_abs)),
+        blowups=[0.0] if trajectory.blown_up else [],
     )
 
 
@@ -362,20 +355,12 @@ def run_galerkin_refinement(
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
-    finals, max_l2, blowups = [], [], []
+    configs = []
     for n in n_list:
         grid = make_grid(period, n)
-        traj = evolve(
-            SolverConfig(
-                descriptor=make_descriptor(grid),
-                initial_condition=initial(grid),
-                dt=dt,
-                t_end=t_end,
-                output_stride=output_stride,
-            )
-        )
-        if traj.blown_up:
-            blowups.append(n)
+        configs.append((n, SolverConfig(make_descriptor(grid), initial(grid), dt, t_end, output_stride)))
+    finals, max_l2, blowups = [], [], []
+    for n, traj in _evolve_each(configs, blowups):
         # a blown-up truncation has no t_end state: every gap it enters is nan
         finals.append(np.full(n, np.nan) if traj.blown_up else traj.coeffs[-1])
         max_l2.append(float(np.max(traj.diagnostics["l2"])))
@@ -395,27 +380,26 @@ def run_galerkin_refinement(
 @dataclass
 class OrderCheck:
     dt: float
-    error_coarse: float  # against a dt/8 reference
+    error_coarse: float  # against a dt/8 reference, nan when either run blew up
     error_half: float
     ratio: float         # ~2^4 for a fourth-order scheme
+    blowups: list[float]  # the steps whose run blew up
 
 
 def etdrk4_order_check(
     descriptor: EquationDescriptor, initial: SpectralField, t_end: float, dt: float
 ) -> OrderCheck:
     """Self-convergence of the stepper under dt halving (reference at dt/8)."""
-    finals = {}
-    for scale in (1, 2, 8):
-        traj = evolve(
-            SolverConfig(
-                descriptor=descriptor,
-                initial_condition=initial,
-                dt=dt / scale,
-                t_end=t_end,
-                output_stride=10**9,  # final state only
-            )
-        )
-        finals[scale] = traj.coeffs[-1]
-    e1 = float(np.sqrt(np.sum((finals[1] - finals[8]) ** 2)))
-    e2 = float(np.sqrt(np.sum((finals[2] - finals[8]) ** 2)))
-    return OrderCheck(dt=dt, error_coarse=e1, error_half=e2, ratio=e1 / e2)
+    configs = [
+        (dt / scale, SolverConfig(descriptor, initial, dt / scale, t_end, output_stride=10**9))
+        for scale in (1, 2, 8)
+    ]
+    blowups = []
+    # final states only; a blown-up run has none, so every error it enters is nan
+    coarse, half, ref = (
+        np.full(descriptor.grid.n_modes, np.nan) if traj.blown_up else traj.coeffs[-1]
+        for _, traj in _evolve_each(configs, blowups)
+    )
+    e1 = float(np.sqrt(np.sum((coarse - ref) ** 2)))
+    e2 = float(np.sqrt(np.sum((half - ref) ** 2)))
+    return OrderCheck(dt=dt, error_coarse=e1, error_half=e2, ratio=e1 / e2, blowups=blowups)

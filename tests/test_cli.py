@@ -30,6 +30,11 @@ CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 # settings under which every K-S and slow-scale run blows up within a few steps
 BLOWUP_ARGS = ["--ell0", "80", "--n-modes", "64", "--t-end", "50", "--dt", "5", "--amplitude", "50"]
+# settings under which the K-S run blows up at t=99 and the eps = 1 run stays bounded
+KS_ONLY_BLOWUP_ARGS = [
+    "--ell0", "80", "--n-modes", "16", "--t-end", "120", "--dt", "3", "--amplitude", "10",
+    "--harmonic", "1", "--output-stride", "1",
+]
 
 
 def _read_csv(path):
@@ -367,6 +372,50 @@ def test_energy_blowup_exit_code(tmp_path):
     rc = main(["energy", *BLOWUP_ARGS, "--epsilon", "0.1", "--out", str(out)])
     assert rc == EXIT_BLOWUP
     assert (out / "energy.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand,flag", [("convergence", "--epsilons"), ("energy", "--epsilon")])
+def test_ks_run_blowup_alone_is_listed_as_eps_zero(subcommand, flag, tmp_path):
+    out = tmp_path / subcommand
+    rc = main([subcommand, *KS_ONLY_BLOWUP_ARGS, flag, "1", "--out", str(out)])
+    assert rc == EXIT_BLOWUP
+    assert json.loads((out / "report.json").read_text())["blowups"] == [0.0]
+
+
+# report study -> (arguments of a clean run, arguments of a run that blows up)
+REPORT_RUNS = {
+    "stability-scan": (
+        ["--ell", "12.566370614359172", "--n-modes", "16", "--alphas", "1.8,2.2", "--t-end", "1", "--dt", "0.1"],
+        ["--ell", "12.566370614359172", "--n-modes", "32", "--alphas", "1.8,3", "--amplitude", "50",
+         "--t-end", "5", "--dt", "1"],
+    ),
+    "convergence": (
+        ["--ell0", "31.41592653589793", "--n-modes", "16", "--t-end", "0.2", "--dt", "0.01", "--epsilons", "0.1"],
+        [*BLOWUP_ARGS, "--epsilons", "0.1"],
+    ),
+    "energy": (
+        ["--ell0", "31.41592653589793", "--n-modes", "16", "--t-end", "0.2", "--dt", "0.01", "--epsilon", "0.1"],
+        [*BLOWUP_ARGS, "--epsilon", "0.1"],
+    ),
+    "ks-apriori": (
+        ["--ell0", "31.41592653589793", "--n-modes", "16", "--t-end", "0.2", "--dt", "0.01"],
+        BLOWUP_ARGS,
+    ),
+    "galerkin": (
+        ["--ell", "31.41592653589793", "--n-list", "16,32", "--t-end", "0.2", "--dt", "0.01", "--amplitude", "0.1"],
+        ["--ell", "80", "--n-list", "16,32", "--t-end", "250", "--dt", "5", "--amplitude", "5"],
+    ),
+}
+
+
+@pytest.mark.parametrize("blows_up", [False, True], ids=["clean", "blowup"])
+@pytest.mark.parametrize("subcommand", list(REPORT_RUNS))
+def test_report_exit_code_follows_listed_blowups(subcommand, blows_up, tmp_path):
+    out = tmp_path / subcommand
+    rc = main([subcommand, *REPORT_RUNS[subcommand][blows_up], "--out", str(out)])
+    blowups = json.loads((out / "report.json").read_text())["blowups"]
+    assert rc == (EXIT_BLOWUP if blowups else EXIT_OK)
+    assert bool(blowups) == blows_up
 
 
 def test_ks_apriori_blowup_writes_outputs_then_exit_code(tmp_path):

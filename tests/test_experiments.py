@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import frontks.experiments
 from frontks.evolve import (
     EquationDescriptor,
     SolverConfig,
@@ -245,6 +246,23 @@ def test_galerkin_blown_up_truncation_has_no_gap():
     assert np.isnan(rep.final_diffs[0])
 
 
+def test_galerkin_rejects_a_bad_member_before_evolving(monkeypatch):
+    evolved = []
+    monkeypatch.setattr(frontks.experiments, "evolve", lambda config: evolved.append(config))
+
+    def initial(grid):
+        if grid.n_modes == 32:
+            raise ValueError("no initial field at n=32")
+        return cosine_field(grid, 1.0, 1)
+
+    with pytest.raises(ValueError, match="n=32"):
+        run_galerkin_refinement(
+            make_descriptor=make_ks_equation, initial=initial, period=10 * np.pi,
+            n_list=[16, 32], t_end=0.1, dt=0.01,
+        )
+    assert evolved == []
+
+
 def test_galerkin_requires_increasing_truncations():
     with pytest.raises(ValueError):
         run_galerkin_refinement(
@@ -261,3 +279,11 @@ def test_etdrk4_order_check_fourth_order():
     grid = make_grid(80.0, 64)
     chk = etdrk4_order_check(make_ks_equation(grid), cosine_field(grid, 12.7, 1), t_end=4.0, dt=0.2)
     assert 12.0 <= chk.ratio <= 20.0
+
+
+def test_etdrk4_order_check_blown_up_runs_give_nan():
+    # the dt and dt/2 runs blow up at t=10: they have no final state to compare
+    grid = make_grid(80.0, 64)
+    chk = etdrk4_order_check(make_ks_equation(grid), cosine_field(grid, 50.0, 1), t_end=50.0, dt=5.0)
+    assert np.isnan(chk.error_coarse) and np.isnan(chk.error_half) and np.isnan(chk.ratio)
+    assert chk.blowups == [5.0, 2.5]
