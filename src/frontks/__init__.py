@@ -10,18 +10,13 @@ re-derives the underlying free-boundary profiles as a numerical audit.
 from .grid import (
     SpectralField,
     SpectralGrid,
-    antiderivative,
     collocation_points,
     cosine_field,
     dealiased_square,
     differentiate,
     inverse_transform,
-    l2_norm,
     make_grid,
-    mean_projection,
-    mean_value,
     random_zero_mean_field,
-    sobolev_norm,
     transform,
 )
 from .symbols import (

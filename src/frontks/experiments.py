@@ -199,19 +199,22 @@ def run_convergence_study(
     grid = phi0.grid
     if grid.period != ell0:
         raise ValueError("phi0 must live on a grid of period ell0")
-    # the K-S run first, keyed 0 (the exact limit), then one run per eps
+    # the K-S run first, keyed 0 (the exact limit), then one run per eps > 0
     configs = [(0.0, SolverConfig(make_ks_equation(grid), phi0, dt, t_end, output_stride))]
     configs += [
         (float(eps), SolverConfig(make_rescaled_equation(eps, grid), phi0, dt, t_end, output_stride))
         for eps in epsilons
+        if eps > 0
     ]
     slope_w = slope_energy_weights(grid)
     sup_errors, zeta_sups, blowups = [], [], []
     trajectories: dict[float, Trajectory] = {}
     runs = _evolve_each(configs, blowups)
     _, ks_traj = next(runs)
-    for eps, traj in runs:
-        trajectories[eps] = traj
+    for eps in epsilons:
+        # the eps = 0 equation is the K-S equation: its row reuses the K-S run
+        traj = ks_traj if eps == 0 else next(runs)[1]
+        trajectories[float(eps)] = traj
         if traj.blown_up or ks_traj.blown_up:
             # a run cut short has no gap to measure; its snapshots stop early
             sup_errors.append(np.nan)
@@ -400,6 +403,9 @@ def etdrk4_order_check(
         np.full(descriptor.grid.n_modes, np.nan) if traj.blown_up else traj.coeffs[-1]
         for _, traj in _evolve_each(configs, blowups)
     )
-    e1 = float(np.sqrt(np.sum((coarse - ref) ** 2)))
-    e2 = float(np.sqrt(np.sum((half - ref) ** 2)))
-    return OrderCheck(dt=dt, error_coarse=e1, error_half=e2, ratio=e1 / e2, blowups=blowups)
+    e1 = np.sqrt(np.sum((coarse - ref) ** 2))
+    e2 = np.sqrt(np.sum((half - ref) ** 2))
+    # a dt/2 run that lands on the reference: 0/0 is nan, a positive error over 0 is inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = float(e1 / e2)
+    return OrderCheck(dt=dt, error_coarse=float(e1), error_half=float(e2), ratio=ratio, blowups=blowups)

@@ -34,11 +34,6 @@ __all__ = [
     "inverse_transform",
     "differentiate",
     "dealiased_square",
-    "sobolev_norm",
-    "l2_norm",
-    "mean_value",
-    "mean_projection",
-    "antiderivative",
     "slope_energy_weights",
     "random_zero_mean_field",
     "cosine_field",
@@ -217,48 +212,6 @@ def dealiased_square(field: SpectralField) -> SpectralField:
     """Spectral coefficients of the pointwise square, exact on all retained modes."""
     grid = field.grid
     return SpectralField(grid, _square_spectrum(grid, _pack(grid, field.coeffs)))
-
-
-def sobolev_norm(field: SpectralField, s: float) -> float:
-    """Coefficient norm (sum_k lam_k^s a_k^2)^(1/2); s = 0 is the L2 norm.
-
-    For s > 0 the mean mode contributes nothing (lam_0 = 0), so this is a
-    seminorm; the mean is exposed separately via mean_value.
-    """
-    if s < 0:
-        raise ValueError("negative orders are out of scope")
-    w = field.grid.eigenvalues**s
-    return float(np.sqrt(np.sum(w * field.coeffs**2)))
-
-
-def l2_norm(field: SpectralField) -> float:
-    return sobolev_norm(field, 0.0)
-
-
-def mean_value(field: SpectralField) -> float:
-    """Mean of the represented function over one period."""
-    return float(field.coeffs[0])
-
-
-def mean_projection(field: SpectralField) -> tuple[SpectralField, SpectralField]:
-    """Split into (mean part, zero-mean part); the two add back to the field exactly."""
-    mean = np.zeros_like(field.coeffs)
-    mean[0] = field.coeffs[0]
-    fluct = field.coeffs.copy()
-    fluct[0] = 0.0
-    return SpectralField(field.grid, mean), SpectralField(field.grid, fluct)
-
-
-def antiderivative(field: SpectralField) -> SpectralField:
-    """Zero-mean periodic antiderivative; the input mean is discarded first.
-
-    Differentiating the result recovers the zero-mean part of the input.
-    """
-    grid = field.grid
-    z = _pack(grid, field.coeffs)
-    # the mean and an unpaired top cosine have ik = 0: same Nyquist convention
-    z = np.divide(z, grid._ik, out=np.zeros_like(z), where=grid._ik != 0)
-    return SpectralField(grid, _unpack(grid, z))
 
 
 def slope_energy_weights(grid: SpectralGrid) -> np.ndarray:

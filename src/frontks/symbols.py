@@ -45,7 +45,6 @@ class SymbolTable:
     alpha: float
     grid: SpectralGrid
     sqrt_factor: np.ndarray    # x = sqrt(1 + 4 lam)
-    decay_exponent: np.ndarray  # nu = (1 + x)/2, decaying root of the profile ODE
     mass: np.ndarray           # b
     stiffness: np.ndarray      # s
     quad_filter: np.ndarray    # f
@@ -70,25 +69,24 @@ class RescaledSymbolTable:
 
 def _unrescaled_arrays(alpha: float, lam: np.ndarray):
     x = np.sqrt(1.0 + 4.0 * lam)
-    nu = 0.5 * (1.0 + x)
     # b = x^2 + a x - a written so the lam = 0 mode gives exactly 1
     b = x * x + alpha * (x - 1.0)
     s = lam * ((alpha - 1.0) - 4.0 * lam)
     # f = (x^3 - 3x^2 - 4ax + 4a)/4; grouped so x = 1 gives exactly -1/2
     f = 0.25 * (x * x * (x - 3.0) - 4.0 * alpha * (x - 1.0))
-    return x, nu, b, s, f, s / b, f / b
+    return x, b, s, f, s / b, f / b
 
 
 def build_symbols(alpha: float, grid: SpectralGrid) -> SymbolTable:
     """Evaluate all unrescaled multipliers on the grid's eigenvalues."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    x, nu, b, s, f, l, g = _unrescaled_arrays(alpha, grid.eigenvalues)
-    return SymbolTable(float(alpha), grid, x, nu, b, s, f, l, g)
+    x, b, s, f, l, g = _unrescaled_arrays(alpha, grid.eigenvalues)
+    return SymbolTable(float(alpha), grid, x, b, s, f, l, g)
 
 
 def front_mode_symbols(alpha: float, lam: float):
-    """Single-mode (x, nu, b, s, f, l, g) for scalar eigenvalue lam."""
+    """Single-mode (x, b, s, f, l, g) for scalar eigenvalue lam."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     vals = _unrescaled_arrays(alpha, np.asarray([lam], dtype=float))

@@ -382,6 +382,23 @@ def test_ks_run_blowup_alone_is_listed_as_eps_zero(subcommand, flag, tmp_path):
     assert json.loads((out / "report.json").read_text())["blowups"] == [0.0]
 
 
+def test_convergence_zero_epsilon_reuses_the_ks_run(tmp_path, monkeypatch):
+    # the eps = 0 row is the K-S equation: one K-S run, listed once when it blows up
+    evolved = []
+    original = frontks.experiments.evolve
+
+    def counted(config):
+        evolved.append(config)
+        return original(config)
+
+    monkeypatch.setattr(frontks.experiments, "evolve", counted)
+    out = tmp_path / "conv"
+    rc = main(["convergence", *KS_ONLY_BLOWUP_ARGS, "--epsilons", "1,0", "--out", str(out)])
+    assert rc == EXIT_BLOWUP
+    assert len(evolved) == 2
+    assert json.loads((out / "report.json").read_text())["blowups"] == [0.0]
+
+
 # report study -> (arguments of a clean run, arguments of a run that blows up)
 REPORT_RUNS = {
     "stability-scan": (

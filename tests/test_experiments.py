@@ -1,6 +1,7 @@
 """Experiment harness: scans, convergence, energy, bounds, refinement."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from frontks.grid import (
     cosine_field,
     differentiate,
     make_grid,
-    sobolev_norm,
 )
 from frontks.symbols import build_rescaled_symbols
 
@@ -123,8 +123,8 @@ def test_energy_identity_against_three_term_definition():
     rho = SpectralField(psi.grid, (psi.coeffs[i] - phi.coeffs[i]) / eps)
     zeta = differentiate(rho, 1)
     three_terms = (
-        sobolev_norm(zeta, 0.0) ** 2
-        + 4 * eps * sobolev_norm(zeta, 1.0) ** 2
+        float(np.sum(zeta.coeffs**2))
+        + 4 * eps * float(np.sum(psi.grid.eigenvalues * zeta.coeffs**2))
         + (1 + eps) * float(np.sum(table.sqrt_shift * zeta.coeffs**2))
     )
     assert trace.values[i] == pytest.approx(three_terms, rel=1e-12, abs=1e-300)
@@ -287,3 +287,26 @@ def test_etdrk4_order_check_blown_up_runs_give_nan():
     chk = etdrk4_order_check(make_ks_equation(grid), cosine_field(grid, 50.0, 1), t_end=50.0, dt=5.0)
     assert np.isnan(chk.error_coarse) and np.isnan(chk.error_half) and np.isnan(chk.ratio)
     assert chk.blowups == [5.0, 2.5]
+
+
+def test_etdrk4_order_check_dt_half_run_on_the_reference_gives_nan():
+    # a null field stays null: all three runs agree exactly, so the ratio is 0/0
+    grid = make_grid(80.0, 16)
+    chk = etdrk4_order_check(make_ks_equation(grid), cosine_field(grid, 0.0, 1), t_end=1.0, dt=0.5)
+    assert chk.error_coarse == 0.0 and chk.error_half == 0.0
+    assert np.isnan(chk.ratio)
+    assert chk.blowups == []
+
+
+def test_etdrk4_order_check_positive_error_over_zero_gives_inf(monkeypatch):
+    # only the dt run misses the reference: the dt/2 run lands on it exactly
+    grid = make_grid(80.0, 16)
+
+    def final_state(config):
+        value = 1.0 if config.dt == 0.5 else 0.0
+        return SimpleNamespace(blown_up=False, coeffs=np.full((1, grid.n_modes), value))
+
+    monkeypatch.setattr(frontks.experiments, "evolve", final_state)
+    chk = etdrk4_order_check(make_ks_equation(grid), cosine_field(grid, 0.0, 1), t_end=1.0, dt=0.5)
+    assert chk.error_coarse == 4.0 and chk.error_half == 0.0
+    assert chk.ratio == np.inf

@@ -9,19 +9,14 @@ from hypothesis import strategies as st
 
 from frontks.grid import (
     SpectralGrid,
-    antiderivative,
     collocation_points,
     cosine_field,
     dealiased_square,
     differentiate,
     inverse_transform,
-    l2_norm,
     make_grid,
-    mean_projection,
-    mean_value,
     random_zero_mean_field,
     slope_energy_weights,
-    sobolev_norm,
     transform,
     SpectralField,
     _pack,
@@ -250,113 +245,31 @@ def test_square_on_own_collocation_points_is_alias_free(n):
         assert np.max(np.abs(got - want)) < 1e-10
 
 
-def test_sobolev_norm_examples():
-    grid = make_grid(TWO_PI, 9)
-    y = collocation_points(grid)
-    f = transform(grid, np.cos(y))
-    coeff_mag = np.abs(f.coeffs[1])
-    assert sobolev_norm(f, 2.0) == pytest.approx(1.0 * coeff_mag, rel=1e-13)
-    const = transform(grid, np.ones(grid.n_points))
-    assert sobolev_norm(const, 1.0) < 1e-13
-    assert l2_norm(const) == pytest.approx(1.0, abs=1e-13)
-    pure = SpectralField(grid, np.eye(9)[0] * 2.0)
-    assert sobolev_norm(pure, 1.0) == 0.0  # lam_0 = 0 annihilates the mean for s > 0
-    with pytest.raises(ValueError):
-        sobolev_norm(f, -1.0)
-
-
-@given(seed=st.integers(0, 10_000), n=st.integers(0, 3))
-@settings(max_examples=40, deadline=None)
-def test_interpolation_inequality(seed, n):
-    # |D^(n+1) f|_2 <= |D^n f|_2^(1/2) |D^(n+2) f|_2^(1/2), Cauchy-Schwarz in coefficients
-    grid = make_grid(TWO_PI, 17)
-    f = random_zero_mean_field(grid, 1.0, seed)
-    mid = sobolev_norm(f, n + 1.0)
-    lo = sobolev_norm(f, float(n))
-    hi = sobolev_norm(f, n + 2.0)
-    assert mid <= np.sqrt(lo * hi) * (1 + 1e-12)
-
-
-@given(seed=st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
-def test_poincare_wirtinger_sharp_constant(seed):
-    grid = make_grid(11.0, 24)
-    f = random_zero_mean_field(grid, 2.0, seed)
-    assert l2_norm(f) <= (11.0 / (2 * np.pi)) * sobolev_norm(f, 1.0) * (1 + 1e-12)
-
-
-def test_mean_projection_examples():
-    grid = make_grid(TWO_PI, 9)
-    y = collocation_points(grid)
-    f = transform(grid, 3.0 + np.cos(y))
-    mean, fluct = mean_projection(f)
-    assert mean.coeffs[0] == pytest.approx(3.0, abs=1e-13)
-    assert fluct.coeffs[0] == 0.0
-    assert np.max(np.abs(mean.coeffs + fluct.coeffs - f.coeffs)) == 0.0
-    vals = inverse_transform(fluct)
-    assert np.max(np.abs(vals - np.cos(y))) < 1e-13
-
-    zero = SpectralField(grid, np.zeros(9))
-    zmean, zfluct = mean_projection(zero)
-    assert mean_value(zmean) == 0.0 and l2_norm(zfluct) == 0.0
-
-
-def test_mean_projection_idempotent():
-    grid = make_grid(4.0, 15)
-    for seed in range(5):
-        f = SpectralField(grid, np.random.default_rng(seed).standard_normal(15))
-        mean1, fluct1 = mean_projection(f)
-        mean2, fluct2 = mean_projection(fluct1)
-        assert mean_value(mean2) == 0.0
-        assert np.array_equal(fluct2.coeffs, fluct1.coeffs)
-
-
-def test_antiderivative_of_cosine():
-    grid = make_grid(TWO_PI, 9)
-    y = collocation_points(grid)
-    p = antiderivative(transform(grid, np.cos(y)))
-    expected = transform(grid, np.sin(y))  # period 2 pi: L/(2 pi) = 1
-    assert np.max(np.abs(p.coeffs - expected.coeffs)) < 1e-13
-    assert mean_value(p) == 0.0
-
-
-def test_antiderivative_kills_constants():
-    grid = make_grid(TWO_PI, 9)
-    const = SpectralField(grid, np.eye(9)[0] * 4.0)
-    assert np.max(np.abs(antiderivative(const).coeffs)) == 0.0
-    sampled = transform(grid, np.full(grid.n_points, 4.0))
-    assert np.max(np.abs(antiderivative(sampled).coeffs)) < 1e-13
-
-
-def _without_unpaired_top_cosine(coeffs):
-    """Nyquist convention: an even truncation's top cosine has no sin partner,
-    and both the derivative and the antiderivative annihilate it."""
-    out = coeffs.copy()
-    if len(out) % 2 == 0:
-        out[-1] = 0.0
+def _derivative_oracle(coeffs, period, order):
+    """Per-mode derivative: (a_{2j-1}, a_{2j}) -> q_j (a_{2j}, -a_{2j-1}), applied
+    order times; the mean and an even truncation's unpaired top cosine go to 0."""
+    out = np.zeros_like(coeffs)
+    for j in range(1, (len(coeffs) - 1) // 2 + 1):
+        q = 2 * np.pi * j / period
+        a, b = coeffs[2 * j - 1], coeffs[2 * j]
+        for _ in range(order):
+            a, b = q * b, -q * a
+        out[2 * j - 1], out[2 * j] = a, b
     return out
 
 
+@pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("n", [19, 64])
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
-def test_derivative_inverts_antiderivative(n, seed):
+def test_derivative_against_per_mode_oracle(n, order, seed):
     grid = make_grid(6.0, n)
-    f = SpectralField(grid, np.random.default_rng(seed).standard_normal(n))
-    _, fluct = mean_projection(f)
-    recovered = differentiate(antiderivative(f), 1)
-    want = _without_unpaired_top_cosine(fluct.coeffs)
-    assert np.max(np.abs(recovered.coeffs - want)) < 1e-12 * max(1.0, l2_norm(f))
-
-
-@pytest.mark.parametrize("n", [19, 64])
-def test_double_antiderivative_then_second_derivative(n):
-    grid = make_grid(6.0, n)
-    for seed in range(5):
-        f = random_zero_mean_field(grid, 1.0, seed)
-        psi = antiderivative(antiderivative(f))
-        back = differentiate(psi, 2)
-        assert np.max(np.abs(back.coeffs - _without_unpaired_top_cosine(f.coeffs))) < 1e-12
+    coeffs = np.random.default_rng(seed).standard_normal(n)
+    got = differentiate(SpectralField(grid, coeffs), order).coeffs
+    want = _derivative_oracle(coeffs, grid.period, order)
+    if n % 2 == 0:
+        assert got[-1] == 0.0
+    assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_cosine_field_matches_pointwise():
@@ -371,8 +284,8 @@ def test_cosine_field_matches_pointwise():
 def test_random_field_profile():
     grid = make_grid(TWO_PI, 33)
     f = random_zero_mean_field(grid, 1e-3, seed=5)
-    assert mean_value(f) == 0.0
-    assert l2_norm(f) == pytest.approx(1e-3, rel=1e-12)
+    assert f.coeffs[0] == 0.0
+    assert np.linalg.norm(f.coeffs) == pytest.approx(1e-3, rel=1e-12)
     # decay: top-mode coefficient suppressed by (lam_1/lam_max)^2
     top = np.max(np.abs(f.coeffs[-2:]))
     assert top < 1e-3 * (grid.eigenvalues[1] / grid.eigenvalues[-1]) ** 2 * 10

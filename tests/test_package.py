@@ -1,4 +1,4 @@
-"""Package hygiene: public names resolve and no module carries a dead import."""
+"""Package hygiene: public names resolve and are used, and no module carries a dead import."""
 
 import ast
 import importlib
@@ -10,6 +10,7 @@ import pytest
 import frontks
 
 PACKAGE_DIR = pathlib.Path(frontks.__file__).parent
+REPO = pathlib.Path(__file__).resolve().parents[1]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(frontks.__path__))
 
 
@@ -30,12 +31,16 @@ def _imported_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def _is_all_assignment(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
 def _used_names(tree: ast.Module) -> set[str]:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:  # a name listed in __all__ is used by being exported
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
+        if _is_all_assignment(node):
             used.update(ast.literal_eval(node.value))
     return used
 
@@ -45,3 +50,44 @@ def _used_names(tree: ast.Module) -> set[str]:
 def test_no_unused_imports(name):
     tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text())
     assert sorted(_imported_names(tree) - _used_names(tree)) == []
+
+
+# public names with no caller in the program, each kept on purpose
+UNCALLED_PUBLIC_NAMES = {
+    "collocation_points": "the reference point set the transform tests compare against",
+    "verify_symbol_bounds": "checks the paper's uniform-in-eps symbol bounds; no CLI output yet",
+    "etdrk4_order_check": "the stepper's fourth-order self-convergence check",
+}
+
+
+def _program_references() -> set[str]:
+    """Names the program reads, by name, attribute or string (perfbench patches by
+    string), across src/, scripts/ and perfbench/; definitions, imports and
+    __all__ entries are not references."""
+    refs = set()
+    for path in [p for d in ("src", "scripts", "perfbench") for p in (REPO / d).rglob("*.py")]:
+        tree = ast.parse(path.read_text())
+        skipped = {id(n) for node in tree.body if _is_all_assignment(node) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in skipped:
+                continue
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.add(node.value)
+    return refs
+
+
+def test_every_public_name_has_a_caller():
+    refs = _program_references()
+    dead = [
+        f"{name}.{n}"
+        for name in MODULES
+        for n in getattr(importlib.import_module(f"frontks.{name}"), "__all__", [])
+        if n not in refs and n not in UNCALLED_PUBLIC_NAMES
+    ]
+    assert dead == []
+    # a kept name that gains a caller leaves the list
+    assert sorted(n for n in UNCALLED_PUBLIC_NAMES if n in refs) == []

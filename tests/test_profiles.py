@@ -195,7 +195,7 @@ def test_boundary_residual_linear_in_front_law_violation():
     assert max(slopes) / min(slopes) < 1.0 + 1e-6  # exactly linear response
 
 
-def test_inconsistent_decay_exponent_is_flagged():
+def test_inconsistent_tail_exponent_is_flagged():
     # the front slope is pinned by the flux jump; a coefficient set whose
     # exponent disagrees with the mode eigenvalue must be rejected loudly
     data = _data(1, 1.0, 1.0, 0.5, 0.2)

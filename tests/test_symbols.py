@@ -20,7 +20,6 @@ TWO_PI = 2.0 * np.pi
 # frozen from a 50-digit mpmath evaluation of the closed forms at alpha=1, lam=1
 ORACLE_A1_L1 = {
     "x": 2.2360679774997896964,
-    "nu": 1.6180339887498948482,
     "b": 6.2360679774997896964,
     "s": -4.0,
     "f": -2.1909830056250525759,
@@ -35,7 +34,7 @@ def _mp_unrescaled(alpha, lam):
     b = x**2 + alpha * x - alpha
     s = -4 * lam**2 + (alpha - 1) * lam
     f = (x**3 - 3 * x**2 - 4 * alpha * x + 4 * alpha) / 4
-    return x, (1 + x) / 2, b, s, f, s / b, f / b
+    return x, b, s, f, s / b, f / b
 
 
 def _mp_rescaled(eps, lam):
@@ -51,8 +50,8 @@ def _mp_rescaled(eps, lam):
 def test_mode_values_against_extended_precision_oracle():
     mp.mp.dps = 50
     got = front_mode_symbols(1.0, 1.0)
-    names = ("x", "nu", "b", "s", "f", "l", "g")
-    for name, value, reference in zip(names, got, _mp_unrescaled(1, 1)):
+    names = ("x", "b", "s", "f", "l", "g")
+    for name, value, reference in zip(names, got, _mp_unrescaled(1, 1), strict=True):
         assert value == pytest.approx(ORACLE_A1_L1[name], rel=1e-15, abs=1e-15)
         assert value == pytest.approx(float(reference), rel=1e-14, abs=1e-15)
 
@@ -84,11 +83,6 @@ def test_stiffness_factorisation_identity():
         x = table.sqrt_factor
         alt = 0.25 * (1.0 - x**2) * (x**2 - alpha)
         assert np.max(np.abs(alt - table.stiffness) / (np.abs(table.stiffness) + 1)) < 1e-12
-
-
-def test_decay_exponent_identity():
-    table = build_symbols(2.0, make_grid(5.0, 64))
-    assert np.max(np.abs(table.decay_exponent - 0.5 * (1 + table.sqrt_factor))) == 0.0
 
 
 def test_alpha_critical_values():
