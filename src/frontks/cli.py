@@ -190,17 +190,16 @@ def _add_schema_flags(parser: argparse.ArgumentParser, study: Study) -> None:
         parser.add_argument("--" + name.replace("_", "-"), dest=name, help=text + listed)
 
 
-def _output_dir(args: argparse.Namespace, subcommand: str) -> tuple[str, bool]:
-    """The run's output directory, and whether this call created it."""
+def _output_dir(args: argparse.Namespace, subcommand: str) -> str:
+    """The run's output directory, made if it does not exist yet."""
     if getattr(args, "out", None):
-        created = not os.path.isdir(args.out)
         os.makedirs(args.out, exist_ok=True)
-        return args.out, created
+        return args.out
     base = os.environ.get(OUTPUT_DIR_ENV, "runs")
     os.makedirs(base, exist_ok=True)
-    # created exclusively, so two runs stamped in the same second get two directories
+    # made exclusively, so two runs stamped in the same second get two directories
     stamp = time.strftime("%Y%m%d-%H%M%S")
-    return tempfile.mkdtemp(prefix=f"{subcommand}-{stamp}-", dir=base), True
+    return tempfile.mkdtemp(prefix=f"{subcommand}-{stamp}-", dir=base)
 
 
 def _initial_condition(grid, cfg) -> SpectralField:
@@ -244,10 +243,10 @@ def _single_run(equation: str, cfg: dict) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# subcommands with their own outputs: run(cfg, outdir) -> exit code
+# subcommands with their own outputs: run(cfg) -> (exit code, files)
 
 
-def _cmd_symbols(cfg, outdir) -> int:
+def _cmd_symbols(cfg) -> tuple[int, dict]:
     grid = make_grid(cfg["ell"], cfg["n_modes"])
     if (cfg["alpha"] is None) == (cfg["epsilon"] is None):
         raise ConfigError(["exactly one of 'alpha' and 'epsilon' must be given"])
@@ -258,40 +257,34 @@ def _cmd_symbols(cfg, outdir) -> int:
         table = build_rescaled_symbols(cfg["epsilon"], grid)
         extra = {"h": "mass_correction", "m": "quad_correction", "r": "sqrt_shift"}
     columns = {"X": "sqrt_factor", "b": "mass", "s": "stiffness", "f": "quad_filter", **extra}
-    path = os.path.join(outdir, "symbols.csv")
-    write_csv(
-        path,
-        ["k", "lambda", *columns],
-        zip(range(grid.n_modes), grid.eigenvalues, *(getattr(table, f) for f in columns.values())),
-    )
-    print(path)
-    return EXIT_OK
+    rows = zip(range(grid.n_modes), grid.eigenvalues, *(getattr(table, f) for f in columns.values()))
+    return EXIT_OK, {"symbols.csv": (["k", "lambda", *columns], rows)}
 
 
-def _cmd_evolve(equation, cfg, outdir) -> int:
+def _cmd_evolve(equation, cfg) -> tuple[int, dict]:
     traj = _single_run(equation, cfg)
     header = ["time"] + [f"a{k}" for k in range(traj.grid.n_modes)]
-    csv_path = os.path.join(outdir, "trajectory.csv")
-    write_csv(csv_path, header, np.column_stack([traj.times, traj.coeffs]).tolist())
-    summary = {
-        "label": traj.descriptor.label,
-        "config": cfg,
-        "times": traj.times,
-        "l2": traj.diagnostics["l2"],
-        "mean": traj.diagnostics["mean"],
-        "zero_mean_l2": traj.diagnostics["zero_mean_l2"],
-        "blown_up": traj.blown_up,
-        "blowup_time": traj.blowup_time,
+    return EXIT_BLOWUP if traj.blown_up else EXIT_OK, {
+        "trajectory.csv": (header, np.column_stack([traj.times, traj.coeffs]).tolist()),
+        "summary.json": {
+            "label": traj.descriptor.label,
+            "config": cfg,
+            "times": traj.times,
+            "l2": traj.diagnostics["l2"],
+            "mean": traj.diagnostics["mean"],
+            "zero_mean_l2": traj.diagnostics["zero_mean_l2"],
+            "blown_up": traj.blown_up,
+            "blowup_time": traj.blowup_time,
+        },
     }
-    write_json(os.path.join(outdir, "summary.json"), summary)
-    print(csv_path)
-    return EXIT_BLOWUP if traj.blown_up else EXIT_OK
 
 
-def _cmd_profiles(cfg, outdir) -> int:
+def _cmd_profiles(cfg) -> tuple[int, dict]:
     k = cfg["k"]
     if k < 0:
         raise ConfigError(["key 'k': must be non-negative"])
+    if cfg["x_count"] < 1:
+        raise ConfigError(["key 'x_count': must be positive"])
     lam = float(make_grid(cfg["ell"], max(k + 1, 3)).eigenvalues[k])
     phi_t = cfg["phi_t"]
     if phi_t is None:
@@ -308,11 +301,9 @@ def _cmd_profiles(cfg, outdir) -> int:
         profile = reconstruct_mode(data, coeffs, x)
         coeff_info = {"c1": coeffs.c1, "c2": coeffs.c2, "nu": coeffs.nu}
     res = jump_residuals(profile, data)
-    csv_path = os.path.join(outdir, "profile.csv")
-    write_csv(csv_path, ["x", "u", "v"], zip(x, profile.u_values, profile.v_values))
-    write_json(
-        os.path.join(outdir, "residuals.json"),
-        {
+    return EXIT_OK, {
+        "profile.csv": (["x", "u", "v"], zip(x, profile.u_values, profile.v_values)),
+        "residuals.json": {
             "k": k,
             "lambda": lam,
             "phi_t": phi_t,
@@ -324,13 +315,11 @@ def _cmd_profiles(cfg, outdir) -> int:
             "v_right": profile.v_right,
             **coeff_info,
         },
-    )
-    print(csv_path)
-    return EXIT_OK
+    }
 
 
 # ---------------------------------------------------------------------------
-# report studies: run(cfg) -> report dataclass, written by _write_report
+# report studies: run(cfg) -> report dataclass, turned into files by _report_files
 
 
 def _run_scan(cfg) -> xp.StabilityScanReport:
@@ -384,18 +373,15 @@ def _run_galerkin(cfg) -> xp.GalerkinReport:
     )
 
 
-def _write_report(study: Study, report, cfg: dict, outdir: str) -> int:
+def _report_files(study: Study, report, cfg: dict) -> tuple[int, dict]:
     """CSV from the study's columns; report.json is every report field but trajectories.
 
     Exit 3 iff the report lists a run that blew up.
     """
-    csv_path = os.path.join(outdir, study.csv)
     columns = [c(report) if callable(c) else getattr(report, c) for c in study.columns.values()]
-    write_csv(csv_path, list(study.columns), zip(*columns))
     payload = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "trajectories"}
-    write_json(os.path.join(outdir, "report.json"), {**payload, "config": cfg})
-    print(csv_path)
-    return EXIT_BLOWUP if report.blowups else EXIT_OK
+    files = {study.csv: (list(study.columns), zip(*columns)), "report.json": {**payload, "config": cfg}}
+    return EXIT_BLOWUP if report.blowups else EXIT_OK, files
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +393,13 @@ class Study:
     """One subcommand: its config keys, what it runs and, for report studies, its CSV.
 
     ``required`` keys must be set; ``optional`` maps the others to their
-    defaults.  With ``csv`` set, ``run(cfg)`` returns a report that lists
-    its blown-up runs in ``blowups`` and ``_write_report`` writes it,
-    ``columns`` mapping each CSV header to a report field name or a getter.  Without it, ``run(cfg, outdir)`` writes
-    its own outputs and returns the exit code.  A ``run`` looks up the
-    module attributes it calls at call time, so wrappers set on them are seen.
+    defaults.  ``run(cfg)`` returns the exit code and the files to write,
+    each name mapped to ``(header, rows)`` for a CSV or to a dict for JSON;
+    with ``csv`` set it returns a report instead, which lists its blown-up
+    runs in ``blowups`` and which ``_report_files`` turns into that pair,
+    ``columns`` mapping each CSV header to a report field name or a getter.
+    A ``run`` looks up the module attributes it calls at call time, so
+    wrappers set on them are seen.
     """
 
     required: tuple[str, ...]
@@ -432,17 +420,17 @@ STUDIES: dict[str, Study] = {
     "evolve-front": Study(
         ("ell", "alpha", "n_modes", "t_end"),
         _EVOLVE_DEFAULTS,
-        lambda cfg, outdir: _cmd_evolve("front", cfg, outdir),
+        lambda cfg: _cmd_evolve("front", cfg),
     ),
     "evolve-ks": Study(
         ("ell0", "n_modes", "t_end"),
         _EVOLVE_DEFAULTS,
-        lambda cfg, outdir: _cmd_evolve("ks", cfg, outdir),
+        lambda cfg: _cmd_evolve("ks", cfg),
     ),
     "evolve-rescaled": Study(
         ("ell0", "epsilon", "n_modes", "t_end"),
         _EVOLVE_DEFAULTS,
-        lambda cfg, outdir: _cmd_evolve("rescaled", cfg, outdir),
+        lambda cfg: _cmd_evolve("rescaled", cfg),
     ),
     "profiles": Study(
         ("ell", "alpha", "k", "phi"),
@@ -509,35 +497,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error(code: int, **payload) -> int:
-    """Report a failure as one JSON object on stderr and return its exit code."""
-    json.dump(payload, sys.stderr)
-    sys.stderr.write("\n")
-    return code
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     study = STUDIES[args.subcommand]
-    outdir, created = None, False
     try:
         cfg = resolve_config(study, args)
-        outdir, created = _output_dir(args, args.subcommand)
-        if study.csv is None:
-            return study.run(cfg, outdir)
-        return _write_report(study, study.run(cfg), cfg, outdir)
+        code, files = _report_files(study, study.run(cfg), cfg) if study.csv else study.run(cfg)
+        # made only now, so a run that fails leaves no directory behind
+        outdir = _output_dir(args, args.subcommand)
+        for name, content in files.items():
+            path = os.path.join(outdir, name)
+            if isinstance(content, dict):
+                write_json(path, content)
+            else:
+                write_csv(path, *content)
+        print(os.path.join(outdir, next(iter(files))))
+        return code
     except np.linalg.LinAlgError:
         raise  # a ValueError, but a numerical failure, not a config one
     except (ConfigError, ValueError) as err:
         # the library validates some keys only once the run starts
         violations = err.violations if isinstance(err, ConfigError) else [str(err)]
-        return _error(EXIT_CONFIG, error="config", violations=violations)
+        code, failure = EXIT_CONFIG, {"error": "config", "violations": violations}
     except OSError as err:
-        return _error(EXIT_IO, error="io", detail=str(err))
-    finally:
-        # a run directory this call made and left empty goes, however the call ends
-        if created and not os.listdir(outdir):
-            os.rmdir(outdir)
+        code, failure = EXIT_IO, {"error": "io", "detail": str(err)}
+    json.dump(failure, sys.stderr)
+    sys.stderr.write("\n")
+    return code
 
 
 if __name__ == "__main__":

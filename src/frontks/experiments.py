@@ -114,6 +114,9 @@ def run_stability_scan(
     alphas = np.asarray(list(alphas), dtype=float)
     if np.any(alphas <= 0):
         raise ValueError("alphas must be positive")
+    if amplitude == 0:
+        # the zero field is the null solution itself: nothing would be perturbed
+        raise ValueError("amplitude must be non-zero")
     grid = make_grid(ell, n_modes)
     ic = random_zero_mean_field(grid, amplitude, seed)
     a_c = alpha_critical(ell)
@@ -208,13 +211,11 @@ def run_convergence_study(
     ]
     slope_w = slope_energy_weights(grid)
     sup_errors, zeta_sups, blowups = [], [], []
-    trajectories: dict[float, Trajectory] = {}
-    runs = _evolve_each(configs, blowups)
-    _, ks_traj = next(runs)
-    for eps in epsilons:
-        # the eps = 0 equation is the K-S equation: its row reuses the K-S run
-        traj = ks_traj if eps == 0 else next(runs)[1]
-        trajectories[float(eps)] = traj
+    # keyed like blowups, so the eps = 0 row reads the K-S run, runs[0.0]
+    runs = dict(_evolve_each(configs, blowups))
+    ks_traj = runs[0.0]
+    trajectories = {float(eps): runs[float(eps)] for eps in epsilons}
+    for traj in trajectories.values():
         if traj.blown_up or ks_traj.blown_up:
             # a run cut short has no gap to measure; its snapshots stop early
             sup_errors.append(np.nan)

@@ -15,6 +15,7 @@ import frontks.experiments
 from frontks.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
+    EXIT_IO,
     EXIT_OK,
     STUDIES,
     build_parser,
@@ -138,7 +139,7 @@ def test_numerical_failure_is_not_a_config_error(tmp_path, monkeypatch):
             "stability-scan", "--ell", "12.566370614359172", "--n-modes", "16",
             "--alphas", "1.8", "--t-end", "1.0", "--dt", "0.1", "--out", str(tmp_path / "scan"),
         ])
-    assert not (tmp_path / "scan").exists()  # the empty run directory is removed
+    assert not (tmp_path / "scan").exists()  # no run directory is made
 
 
 def test_config_file_parsing_and_flag_override(tmp_path):
@@ -252,6 +253,33 @@ def test_stability_scan_blowup_writes_outputs_then_exit_code(tmp_path):
     assert report["blowups"] == [1.8, 3.0]
 
 
+def test_stability_scan_rejects_zero_amplitude_before_evolving(tmp_path, monkeypatch, capsys):
+    # the zero field is the null solution itself, so every alpha would read "stable"
+    evolved = []
+    original = frontks.experiments.evolve
+
+    def counted(config):
+        evolved.append(config)
+        return original(config)
+
+    monkeypatch.setattr(frontks.experiments, "evolve", counted)
+    argv = [
+        "stability-scan", "--ell", "12.566370614359172", "--n-modes", "16",
+        "--alphas", "1.5,3", "--t-end", "1", "--dt", "0.1",
+    ]
+    rc = main([*argv, "--amplitude", "0", "--out", str(tmp_path / "zero")])
+    assert rc == EXIT_CONFIG
+    assert evolved == []
+    assert json.loads(capsys.readouterr().err)["violations"] == ["amplitude must be non-zero"]
+    assert not (tmp_path / "zero").exists()
+    # a negative amplitude is a perturbation like any other
+    rc = main([*argv, "--amplitude=-1e-4", "--out", str(tmp_path / "negative")])
+    assert rc == EXIT_OK
+    assert len(evolved) == 2
+    header, rows = _read_csv(tmp_path / "negative" / "scan.csv")
+    assert [row[header.index("verdict")] for row in rows] == ["stable", "unstable"]
+
+
 @pytest.mark.filterwarnings("error")
 def test_short_scan_writes_nan_rate_instead_of_fitting_one_point(tmp_path):
     out = tmp_path / "scan"
@@ -277,6 +305,17 @@ def test_profiles_default_time_derivative_closes_jump(tmp_path):
     header, rows = _read_csv(out / "profile.csv")
     assert header == ["x", "u", "v"]
     assert len(rows) == 301
+
+
+def test_profiles_rejects_an_empty_grid_before_writing(tmp_path, capsys):
+    out = tmp_path / "prof"
+    rc = main([
+        "profiles", "--ell", "6.28", "--alpha", "1", "--k", "1", "--phi", "1",
+        "--x-count", "0", "--out", str(out),
+    ])
+    assert rc == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["violations"] == ["key 'x_count': must be positive"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("ell", ["0", "-6.28"])
@@ -548,7 +587,28 @@ def test_t_end_off_the_step_lattice_is_a_config_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert "nearest reachable horizon is 0.9" in err["violations"][0]
-    assert not (tmp_path / "ks").exists()  # the run directory made for it is removed
+    assert not (tmp_path / "ks").exists()  # no run directory is made
+
+
+def test_config_error_makes_no_directories(tmp_path, capsys):
+    # the run directory is made only once the study has returned, parents included
+    out = tmp_path / "nest" / "a" / "b"
+    rc = main([
+        "evolve-ks", "--ell0", "31.41592653589793", "--n-modes", "16",
+        "--t-end", "1", "--dt", "0.3", "--out", str(out),
+    ])
+    assert rc == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (tmp_path / "nest").exists()
+
+
+def test_unwritable_out_is_an_io_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    rc = main(["symbols", "--ell", "6.28", "--n-modes", "4", "--alpha", "1.0", "--out", str(taken)])
+    assert rc == EXIT_IO
+    assert json.loads(capsys.readouterr().err)["error"] == "io"
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_default_dt_reaches_t_end_in_whole_steps(tmp_path):
