@@ -3,7 +3,8 @@
 
 Usage: python scripts/run_all.py [outdir]   (default ./runs)
 
-Each study's == line ends with its wall time in seconds.
+Each study's == line ends with its wall time in seconds, and a last
+== total line gives the wall time of all of them.
 """
 
 import contextlib
@@ -34,6 +35,7 @@ STUDIES = [
 
 def run(base: pathlib.Path) -> int:
     worst = 0
+    begin = time.perf_counter()
     for name, args in STUDIES:
         out = base / name
         # the study's own stdout is held back so that its == line, which
@@ -47,6 +49,7 @@ def run(base: pathlib.Path) -> int:
         if rc != 0:
             print(f"   exited with {rc}")
             worst = max(worst, rc)
+    print(f"== total ({time.perf_counter() - begin:.2f} s)")
     return worst
 
 

@@ -12,12 +12,13 @@ CSV output (floats are written with 17 significant digits).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -41,7 +42,7 @@ from .profiles import (
     reconstruct_mode,
     reconstruct_mode0,
 )
-from .symbols import build_rescaled_symbols, build_symbols
+from .symbols import build_rescaled_symbols, build_symbols, verify_symbol_bounds
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -250,15 +251,19 @@ def _cmd_symbols(cfg) -> tuple[int, dict]:
     grid = make_grid(cfg["ell"], cfg["n_modes"])
     if (cfg["alpha"] is None) == (cfg["epsilon"] is None):
         raise ConfigError(["exactly one of 'alpha' and 'epsilon' must be given"])
+    bounds = {}
     if cfg["alpha"] is not None:
         table = build_symbols(cfg["alpha"], grid)
         extra = {"l": "growth_rate", "g": "quad_gain"}
     else:
         table = build_rescaled_symbols(cfg["epsilon"], grid)
         extra = {"h": "mass_correction", "m": "quad_correction", "r": "sqrt_shift"}
+        # the uniform-in-eps bounds the convergence proof rests on
+        report = verify_symbol_bounds(table)
+        bounds = {"bounds.json": {**asdict(report), "all_ok": report.all_ok}}
     columns = {"X": "sqrt_factor", "b": "mass", "s": "stiffness", "f": "quad_filter", **extra}
     rows = zip(range(grid.n_modes), grid.eigenvalues, *(getattr(table, f) for f in columns.values()))
-    return EXIT_OK, {"symbols.csv": (["k", "lambda", *columns], rows)}
+    return EXIT_OK, {"symbols.csv": (["k", "lambda", *columns], rows), **bounds}
 
 
 def _cmd_evolve(equation, cfg) -> tuple[int, dict]:
@@ -486,7 +491,9 @@ STUDIES: dict[str, Study] = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="frontks",
         description="Pseudospectral front-equation / Kuramoto-Sivashinsky toolkit",

@@ -107,6 +107,7 @@ class Etdrk4:
         self.coeff_f1 = dt * ((-4.0 - zr + ez * (4.0 - 3.0 * zr + zr**2)) / zr3).mean(1).real[inv]
         self.coeff_f2 = dt * ((2.0 + zr + ez * (zr - 2.0)) / zr3).mean(1).real[inv]
         self.coeff_f3 = dt * ((-4.0 - 3.0 * zr - zr**2 + ez * (4.0 - zr)) / zr3).mean(1).real[inv]
+        self._two_f2 = 2.0 * self.coeff_f2
         grid = descriptor.grid
         self._slope = None  # the FFT path
         if grid.n_modes <= MATRIX_MAX_MODES:
@@ -114,29 +115,47 @@ class Etdrk4:
             self._analysis = descriptor.nonlinear_symbol[:, None] * analysis
 
     def nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
-        # G * dealiased (d/dy)^2, squared on the collocation points
+        """G * dealiased (d/dy coeffs)^2, as a new array; coeffs is only read."""
         if self._slope is not None:
-            return self._analysis @ np.square(self._slope @ coeffs)
+            # squared on the collocation points
+            slope = self._slope.dot(coeffs)
+            slope *= slope
+            return self._analysis.dot(slope)
         # the derivative taken in the packed spectrum
         grid = self.descriptor.grid
         slope_sq = _square_spectrum(grid, _pack(grid, coeffs) * grid._ik)
         return self.descriptor.nonlinear_symbol * slope_sq
 
     def step_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
+        """One ETDRK4 step from coeffs, as a new array; coeffs is only read.
+
+        Each stage is the textbook formula, rounded in the same order; the
+        in-place updates write only into arrays made during this step.
+        """
+        q = self.coeff_q
         n0 = self.nonlinear(coeffs)
         half = self.exp_half * coeffs
-        a = half + self.coeff_q * n0
+        a = q * n0
+        a += half  # a = half + q n0
         na = self.nonlinear(a)
-        b = half + self.coeff_q * na
+        b = q * na
+        b += half  # b = half + q na
         nb = self.nonlinear(b)
-        c = self.exp_half * a + self.coeff_q * (2.0 * nb - n0)
+        c = nb * 2.0
+        c -= n0
+        c *= q
+        a *= self.exp_half
+        c += a  # c = exp_half a + q (2 nb - n0)
         nc = self.nonlinear(c)
-        return (
-            self.exp_full * coeffs
-            + self.coeff_f1 * n0
-            + 2.0 * self.coeff_f2 * (na + nb)
-            + self.coeff_f3 * nc
-        )
+        out = self.exp_full * coeffs
+        n0 *= self.coeff_f1
+        out += n0
+        na += nb
+        na *= self._two_f2
+        out += na
+        nc *= self.coeff_f3
+        out += nc  # exp_full coeffs + f1 n0 + 2 f2 (na + nb) + f3 nc
+        return out
 
 
 def _whole_steps(t_end: float, dt: float) -> bool:
@@ -216,7 +235,7 @@ def _diagnostics(grid: SpectralGrid, coeffs: np.ndarray) -> dict:
 
 def _bounded(coeffs: np.ndarray) -> bool:
     # NaN, inf and overflow all fail this one comparison
-    return bool(np.sqrt(coeffs @ coeffs) <= BLOWUP_NORM)
+    return math.sqrt(coeffs @ coeffs) <= BLOWUP_NORM
 
 
 def evolve(config: SolverConfig) -> Trajectory:
@@ -230,9 +249,9 @@ def evolve(config: SolverConfig) -> Trajectory:
     """
     n_steps = round(config.t_end / config.dt)
     stepper = Etdrk4(config.descriptor, config.dt)
-    coeffs = config.initial_condition.coeffs.astype(float).copy()
+    coeffs = config.initial_condition.coeffs.astype(float)  # a copy
     times = [0.0]
-    snaps = [coeffs.copy()]
+    snaps = [coeffs]  # step_coeffs never writes its input
     blowup_time = None if _bounded(coeffs) else 0.0
     for i in range(n_steps if blowup_time is None else 0):
         coeffs = stepper.step_coeffs(coeffs)

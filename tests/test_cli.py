@@ -1,5 +1,6 @@
 """CLI: config handling, outputs, exit codes, reproducibility."""
 
+import argparse
 import json
 import math
 import os
@@ -63,6 +64,43 @@ def test_symbols_rescaled_table(tmp_path):
     header, rows = _read_csv(out / "symbols.csv")
     assert header == ["k", "lambda", "X", "b", "s", "f", "h", "m", "r"]
     assert float(dict(zip(header, rows[0]))["b"]) == 1.0
+
+
+@pytest.mark.parametrize("epsilon", ["1", "0.05", "1e-8"])
+def test_symbols_epsilon_writes_the_symbol_bounds(epsilon, tmp_path):
+    out = tmp_path / "sym"
+    rc = main(["symbols", "--ell", "31.41592653589793", "--n-modes", "256", "--epsilon", epsilon,
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["bounds.json", "symbols.csv"]
+    bounds = json.loads((out / "bounds.json").read_text())
+    assert bounds["epsilon"] == float(epsilon)
+    flags = {k: v for k, v in bounds.items() if k.endswith("_ok")}
+    assert len(flags) == 5 and all(v is True for v in flags.values())
+
+
+def test_symbols_alpha_writes_only_the_table(tmp_path):
+    out = tmp_path / "sym"
+    assert main(["symbols", "--ell", "6.2832", "--n-modes", "8", "--alpha", "1.0", "--out", str(out)]) == EXIT_OK
+    assert [p.name for p in out.iterdir()] == ["symbols.csv"]
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    argv = ["symbols", "--ell", "6.2832", "--n-modes", "8", "--alpha", "1.0"]
+    assert main([*argv, "--out", str(tmp_path / "warm")]) == EXIT_OK
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    assert main([*argv, "--out", str(tmp_path / "again")]) == EXIT_OK
+    assert added == []
+    assert build_parser() is build_parser()
+    build_parser.__wrapped__()  # a fresh build is seen by the counter
+    assert added
 
 
 def test_symbols_needs_exactly_one_parameter(tmp_path, capsys):

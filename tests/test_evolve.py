@@ -167,6 +167,45 @@ def test_nonlinear_term_is_symbol_times_dealiased_square_of_slope(n, equation):
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
+def _textbook_step(stepper, nonlinear, u):
+    """Cox & Matthews' ETDRK4 step, written out from the stepper's coefficients."""
+    n0 = nonlinear(u)
+    a = stepper.exp_half * u + stepper.coeff_q * n0
+    na = nonlinear(a)
+    b = stepper.exp_half * u + stepper.coeff_q * na
+    nb = nonlinear(b)
+    c = stepper.exp_half * a + stepper.coeff_q * (2.0 * nb - n0)
+    nc = nonlinear(c)
+    return (
+        stepper.exp_full * u
+        + stepper.coeff_f1 * n0
+        + 2.0 * stepper.coeff_f2 * (na + nb)
+        + stepper.coeff_f3 * nc
+    )
+
+
+@pytest.mark.parametrize("equation", sorted(EQUATIONS))
+# 16-128 take the matrix path, 129 and 512 the FFT path
+@pytest.mark.parametrize("n", [16, 64, 128, 129, 512])
+def test_step_coeffs_is_the_textbook_step_bit_for_bit(n, equation):
+    grid = make_grid(10 * np.pi, n)
+    stepper = Etdrk4(EQUATIONS[equation](grid), 1e-3)
+    if stepper._slope is not None:
+        def nonlinear(v):
+            return stepper._analysis @ np.square(stepper._slope @ v)
+    else:
+        nonlinear = stepper.nonlinear
+    u = random_zero_mean_field(grid, 1.0, n).coeffs
+    for _ in range(3):
+        before = u.copy()
+        out = stepper.step_coeffs(u)
+        assert np.array_equal(out, _textbook_step(stepper, nonlinear, u))
+        # the input is only read, and the result is a new array
+        assert np.array_equal(u, before)
+        assert not np.shares_memory(out, u)
+        u = out
+
+
 @pytest.mark.parametrize("n,ffts_per_step", [(128, 0), (129, 8)])
 def test_evolve_takes_ffts_only_above_the_matrix_size(n, ffts_per_step, monkeypatch):
     # up to MATRIX_MAX_MODES the nonlinear term is two matrix products; above

@@ -55,7 +55,6 @@ def test_no_unused_imports(name):
 # public names with no caller in the program, each kept on purpose
 UNCALLED_PUBLIC_NAMES = {
     "collocation_points": "the reference point set the transform tests compare against",
-    "verify_symbol_bounds": "checks the paper's uniform-in-eps symbol bounds; no CLI output yet",
     "etdrk4_order_check": "the stepper's fourth-order self-convergence check",
 }
 
