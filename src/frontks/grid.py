@@ -156,7 +156,7 @@ def _pack(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     """
     buf = np.zeros((*coeffs.shape[:-1], 2 * grid.max_harmonic + 2))
     buf[..., 0] = coeffs[..., 0]
-    buf[..., 2 : grid.n_modes + 1] = coeffs[..., 1:] / grid._coeff_scale[1:]
+    np.divide(coeffs[..., 1:], grid._coeff_scale[1:], out=buf[..., 2 : grid.n_modes + 1])
     return buf.view(complex)
 
 
@@ -205,7 +205,8 @@ def _square_spectrum(grid: SpectralGrid, spectrum: np.ndarray) -> np.ndarray:
     the rest.
     """
     values = np.fft.irfft(spectrum, grid.n_points, norm="forward")
-    return _unpack(grid, np.fft.rfft(values * values, norm="forward"))
+    values *= values
+    return _unpack(grid, np.fft.rfft(values, norm="forward"))
 
 
 def dealiased_square(field: SpectralField) -> SpectralField:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -152,6 +153,78 @@ def test_stepper_coefficients_built_once_per_distinct_symbol(n, equation):
     for c, want in zip(got, _per_mode_coefficients(z, dt)):
         assert np.all(want != 0)
         assert np.max(np.abs(c - want) / np.abs(want)) <= 1e-12
+
+
+def _phi_50_digits(z):
+    """(q, f1, f2, f3) / dt at z = dt L: the closed forms in 50-digit arithmetic."""
+    with mp.workdps(50):
+        z = mp.mpf(z)
+        ez = mp.exp(z)
+        return [
+            float(v)
+            for v in (
+                (mp.exp(z / 2) - 1) / z,
+                (-4 - z + ez * (4 - 3 * z + z**2)) / z**3,
+                (2 + z + ez * (z - 2)) / z**3,
+                (-4 - 3 * z - z**2 + ez * (4 - z)) / z**3,
+            )
+        ]
+
+
+@pytest.mark.parametrize(
+    "z,tol",
+    [
+        # closed forms from |z| = 5 on, including just past the switch
+        (
+            np.r_[
+                -np.geomspace(5 + 1e-6, 1e6, 60), np.linspace(5 + 1e-6, 60, 30), -5 - 1e-9, 5 + 1e-9
+            ],
+            1e-15,
+        ),
+        # the contour average inside the disc, including just short of the switch
+        (np.r_[np.linspace(-4.95, 4.95, 34), -1e-3, 1e-3, -5 + 1e-9, 5 - 1e-9], 1e-12),
+    ],
+    ids=["closed-form", "contour"],
+)
+def test_stepper_coefficients_match_50_digit_phi_functions(z, tol):
+    dt = 0.5  # a power of two: z / dt and coefficient / dt are exact
+    grid = make_grid(TWO_PI, z.size)
+    stepper = Etdrk4(EquationDescriptor(grid, z / dt, np.zeros(z.size), "phi"), dt)
+    got = np.array([stepper.coeff_q, stepper.coeff_f1, stepper.coeff_f2, stepper.coeff_f3]) / dt
+    want = np.array([_phi_50_digits(v) for v in z]).T
+    assert np.max(np.abs(got - want) / np.abs(want)) <= tol
+
+
+@pytest.mark.parametrize(
+    "desc,dt",
+    [
+        # the scan and dense grids of the benchmark: every |dt L| < 5
+        (make_front_equation(12.0, make_grid(4 * np.pi, 64)), 0.01),
+        (make_rescaled_equation(0.04, make_grid(10 * np.pi, 128)), 0.001),
+    ],
+    ids=["scan", "dense"],
+)
+def test_stepper_coefficients_inside_the_contour_disc_keep_their_bits(desc, dt):
+    st = Etdrk4(desc, dt)
+    got = (st.coeff_q, st.coeff_f1, st.coeff_f2, st.coeff_f3)
+    for c, want in zip(got, _per_mode_coefficients(dt * desc.linear_symbol, dt)):
+        assert np.array_equal(c, want)
+
+
+@pytest.mark.parametrize("n", [64, 129, 2048])
+def test_nonlinear_term_and_grid_operators_only_read_their_input(n):
+    grid = make_grid(TWO_PI, n)
+    coeffs = np.random.default_rng(n).standard_normal(n)
+    before = coeffs.copy()
+    stepper = Etdrk4(make_ks_equation(grid), 1e-3)
+    field = SpectralField(grid, coeffs)
+    for result in (
+        stepper.nonlinear(coeffs),
+        differentiate(field).coeffs,
+        dealiased_square(field).coeffs,
+    ):
+        assert np.array_equal(coeffs, before)
+        assert not np.shares_memory(result, coeffs)
 
 
 @pytest.mark.parametrize("equation", sorted(EQUATIONS))
