@@ -1,12 +1,13 @@
 """Command-line entry point: config handling, seeded runs, CSV/JSON reports.
 
-Configs are flat ``key = value`` text files; every key can also be given as
-a ``--key`` flag, flags override file values, and both are parsed by one
-parser.  Unknown keys are rejected and all validation problems are
-reported at once as a JSON error object on stderr.  Exit codes: 0 success,
-2 config error, 3 numerical blowup (after the outputs are written), 4 I/O
-error.  Identical config + seed reproduces byte-identical
-CSV output (floats are written with 17 significant digits).
+Configs are flat ``key = value`` text files, each key at most once; every
+key can also be given as a ``--key`` flag, flags override file values, and
+both are parsed by one parser, which takes only finite numbers.  Unknown
+keys are rejected and all validation problems are reported at once as a
+JSON error object on stderr.  Exit codes: 0 success, 2 config error, 3
+numerical blowup (after the outputs are written), 4 I/O error.  Identical
+config + seed reproduces byte-identical CSV output (floats are written with
+17 significant digits).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -133,8 +134,10 @@ def read_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = line.split("=", 1)
-            values[key.strip()] = raw.strip()
+            key, raw = (part.strip() for part in line.split("=", 1))
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: key '{key}' given twice")
+            values[key] = raw
     return values
 
 
@@ -176,6 +179,8 @@ def resolve_config(study: Study, args: argparse.Namespace) -> dict:
             continue
         if merged[key] == []:
             violations.append(f"key '{key}': empty list")
+        elif kind in ("float", "floats") and not np.all(np.isfinite(merged[key])):
+            violations.append(f"key '{key}': must be finite, got '{text}'")
     violations += [f"missing required key '{k}'" for k in study.required if k not in raw]
     if violations:
         raise ConfigError(violations)
@@ -335,7 +340,6 @@ def _run_scan(cfg) -> xp.StabilityScanReport:
 def _convergence(cfg, epsilons) -> xp.ConvergenceStudy:
     grid = make_grid(cfg["ell0"], cfg["n_modes"])
     return xp.run_convergence_study(
-        ell0=cfg["ell0"],
         phi0=cosine_field(grid, cfg["amplitude"], cfg["harmonic"]),
         t_end=cfg["t_end"],
         epsilons=epsilons,
@@ -379,13 +383,12 @@ def _run_galerkin(cfg) -> xp.GalerkinReport:
 
 
 def _report_files(study: Study, report, cfg: dict) -> tuple[int, dict]:
-    """CSV from the study's columns; report.json is every report field but trajectories.
+    """CSV from the study's columns; report.json is every report field plus the config.
 
     Exit 3 iff the report lists a run that blew up.
     """
     columns = [c(report) if callable(c) else getattr(report, c) for c in study.columns.values()]
-    payload = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "trajectories"}
-    files = {study.csv: (list(study.columns), zip(*columns)), "report.json": {**payload, "config": cfg}}
+    files = {study.csv: (list(study.columns), zip(*columns)), "report.json": {**vars(report), "config": cfg}}
     return EXIT_BLOWUP if report.blowups else EXIT_OK, files
 
 

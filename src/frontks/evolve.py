@@ -193,14 +193,14 @@ def _whole_steps(t_end: float, dt: float) -> bool:
     return abs(steps - round(steps)) <= 1e-9 * steps
 
 
-def default_dt(grid: SpectralGrid, t_end: float | None = None) -> float:
+def default_dt(grid: SpectralGrid, t_end: float) -> float:
     """Default step 1e-3 (L/2pi)^2, scaled with the squared period.
 
-    Given a positive finite t_end that it does not divide, the step is
-    shortened to t_end / ceil(t_end / step), so that whole steps reach t_end.
+    When it does not divide a positive finite t_end, the step is shortened
+    to t_end / ceil(t_end / step), so that whole steps reach t_end.
     """
     dt = 1e-3 * (grid.period / (2.0 * np.pi)) ** 2
-    if t_end is None or not 0 < t_end / dt < np.inf or _whole_steps(t_end, dt):
+    if not 0 < t_end / dt < np.inf or _whole_steps(t_end, dt):
         return dt
     return t_end / math.ceil(t_end / dt)
 

@@ -92,7 +92,6 @@ class StabilityScanReport:
     verdicts: list[str]          # "stable" | "unstable"
     anomalies: list[str]
     blowups: list[float]         # the alphas whose run blew up
-    trajectories: dict[float, Trajectory] | None = None
 
 
 def run_stability_scan(
@@ -104,7 +103,6 @@ def run_stability_scan(
     dt: float,
     seed: int = 0,
     output_stride: int = 1,
-    keep_trajectories: bool = False,
 ) -> StabilityScanReport:
     """Evolve the front equation across alphas and classify the null solution.
 
@@ -112,8 +110,6 @@ def run_stability_scan(
     verdict flips are attributable to the parameter alone.
     """
     alphas = np.asarray(list(alphas), dtype=float)
-    if np.any(alphas <= 0):
-        raise ValueError("alphas must be positive")
     if amplitude == 0:
         # the zero field is the null solution itself: nothing would be perturbed
         raise ValueError("amplitude must be non-zero")
@@ -125,10 +121,7 @@ def run_stability_scan(
         for alpha in alphas
     ]
     measured, predicted, verdicts, anomalies, blowups = [], [], [], [], []
-    kept: dict[float, Trajectory] = {}
     for alpha, traj in _evolve_each(configs, blowups):
-        if keep_trajectories:
-            kept[alpha] = traj
         if traj.blown_up:
             anomalies.append(
                 f"alpha={alpha:g}: blowup at t={traj.blowup_time:g}"
@@ -153,7 +146,6 @@ def run_stability_scan(
         verdicts=verdicts,
         anomalies=anomalies,
         blowups=blowups,
-        trajectories=kept if keep_trajectories else None,
     )
 
 
@@ -179,7 +171,6 @@ class ConvergenceStudy:
 
 
 def run_convergence_study(
-    ell0: float,
     phi0: SpectralField,
     t_end: float,
     epsilons,
@@ -188,7 +179,7 @@ def run_convergence_study(
 ) -> ConvergenceStudy:
     """Integrate the limit equation and the slow-scale equation side by side.
 
-    Both run in the same slow frame (period ell0, slow time), from the same
+    Both run in the same slow frame (phi0's grid, slow time), from the same
     initial state, with the same stepper and step, so the measured gap is
     the modelling difference and not interpolation or discretisation noise.
     """
@@ -200,8 +191,6 @@ def run_convergence_study(
     if outside.size:
         raise ValueError(f"epsilons must lie in [0, 1], got {', '.join(f'{e:g}' for e in outside)}")
     grid = phi0.grid
-    if grid.period != ell0:
-        raise ValueError("phi0 must live on a grid of period ell0")
     # the K-S run first, keyed 0 (the exact limit), then one run per eps > 0
     configs = [(0.0, SolverConfig(make_ks_equation(grid), phi0, dt, t_end, output_stride))]
     configs += [
@@ -232,7 +221,7 @@ def run_convergence_study(
     # at eps = 0 the rescaled run is the K-S run, so its gap is exactly 0 and stays 0
     per_eps = np.where(epsilons > 0, epsilons, np.inf)
     report = ConvergenceReport(
-        ell0=float(ell0),
+        ell0=grid.period,
         t_end=float(t_end),
         epsilons=epsilons,
         sup_errors=sup_errors,

@@ -72,8 +72,8 @@ class SpectralGrid:
     _ik: np.ndarray = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.period > 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        if not 0 < self.period < np.inf:
+            raise ValueError(f"period must be positive and finite, got {self.period}")
         if self.n_modes < 3:
             raise ValueError(f"n_modes must be at least 3, got {self.n_modes}")
         # smallest even count above 3N/2 (>= 3K + 1 for top harmonic K, the 3/2
@@ -189,12 +189,10 @@ def inverse_transform(field: SpectralField, n_points: int | None = None) -> np.n
     return np.fft.irfft(_pack(grid, field.coeffs), n, norm="forward")
 
 
-def differentiate(field: SpectralField, order: int = 1) -> SpectralField:
-    """Exact spectral derivative of the given order (mean mode of the result is 0)."""
-    if order < 1:
-        raise ValueError(f"order must be a positive integer, got {order}")
+def differentiate(field: SpectralField) -> SpectralField:
+    """Exact spectral first derivative (mean mode of the result is 0)."""
     grid = field.grid
-    return SpectralField(grid, _unpack(grid, _pack(grid, field.coeffs) * grid._ik**order))
+    return SpectralField(grid, _unpack(grid, _pack(grid, field.coeffs) * grid._ik))
 
 
 def _square_spectrum(grid: SpectralGrid, spectrum: np.ndarray) -> np.ndarray:

@@ -79,24 +79,24 @@ def _unrescaled_arrays(alpha: float, lam: np.ndarray):
 
 def build_symbols(alpha: float, grid: SpectralGrid) -> SymbolTable:
     """Evaluate all unrescaled multipliers on the grid's eigenvalues."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     x, b, s, f, l, g = _unrescaled_arrays(alpha, grid.eigenvalues)
     return SymbolTable(float(alpha), grid, x, b, s, f, l, g)
 
 
 def front_mode_symbols(alpha: float, lam: float):
     """Single-mode (x, b, s, f, l, g) for scalar eigenvalue lam."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     vals = _unrescaled_arrays(alpha, np.asarray([lam], dtype=float))
     return tuple(float(v[0]) for v in vals)
 
 
 def alpha_critical(ell: float) -> float:
     """Instability threshold in alpha for period ell: 1 + 16 pi^2 / ell^2."""
-    if not ell > 0:
-        raise ValueError(f"period must be positive, got {ell}")
+    if not 0 < ell < np.inf:
+        raise ValueError(f"period must be positive and finite, got {ell}")
     return 1.0 + 16.0 * np.pi**2 / ell**2
 
 

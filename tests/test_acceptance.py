@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from frontks import experiments
 from frontks.evolve import SolverConfig, evolve, make_front_equation, mean_mode_ode_check
 from frontks.experiments import (
     etdrk4_order_check,
@@ -57,26 +58,35 @@ def sweep():
     phi0 = cosine_field(grid, 0.1, 1)
     start = time.perf_counter()
     study = run_convergence_study(
-        ell0, phi0, t_end=1.0, epsilons=SWEEP_EPSILONS, dt=1e-3, output_stride=10
+        phi0, t_end=1.0, epsilons=SWEEP_EPSILONS, dt=1e-3, output_stride=10
     )
     return study, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
 def threshold_scan():
-    start = time.perf_counter()
-    report = run_stability_scan(
-        ell=4 * np.pi,
-        alphas=[1.9, 2.1],
-        amplitude=1e-4,
-        t_end=160.0,
-        n_modes=64,
-        dt=0.01,
-        seed=7,
-        output_stride=1,
-        keep_trajectories=True,
-    )
-    return report, time.perf_counter() - start
+    """The scan report, its wall time and its runs, recorded at the evolve seam."""
+    runs = []
+
+    def recording(config, _evolve=experiments.evolve):
+        runs.append(_evolve(config))
+        return runs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "evolve", recording)
+        start = time.perf_counter()
+        report = run_stability_scan(
+            ell=4 * np.pi,
+            alphas=[1.9, 2.1],
+            amplitude=1e-4,
+            t_end=160.0,
+            n_modes=64,
+            dt=0.01,
+            seed=7,
+            output_stride=1,
+        )
+        elapsed = time.perf_counter() - start
+    return report, elapsed, runs
 
 
 # --- criteria ----------------------------------------------------------------
@@ -115,7 +125,7 @@ def test_criterion_02_zero_mode_exactness():
 
 
 def test_criterion_03_threshold_reproduction(threshold_scan):
-    report, elapsed = threshold_scan
+    report, elapsed, _ = threshold_scan
     with criterion(3, "alpha_c values and verdict flip between 1.9 and 2.1"):
         assert alpha_critical(4 * np.pi) == 2.0
         assert alpha_critical(2 * np.pi) == 5.0
@@ -232,9 +242,9 @@ def test_criterion_09_galerkin_and_time_order():
 
 def test_criterion_10_mean_mode_law(sweep, threshold_scan):
     study, _ = sweep
-    scan, _ = threshold_scan
+    _, _, scan_runs = threshold_scan
     with criterion(10, "mean obeys p' = -1/2 mean((slope)^2) and never increases"):
-        trajectories = list(scan.trajectories.values())
+        trajectories = list(scan_runs)
         trajectories += [study.rescaled_trajectories[eps] for eps in SWEEP_EPSILONS]
         trajectories.append(study.ks_trajectory)
         assert len(trajectories) == 7

@@ -1,6 +1,7 @@
 """CLI: config handling, outputs, exit codes, reproducibility."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from frontks.cli import (
     resolve_config,
     write_csv,
 )
-from frontks.evolve import Etdrk4, default_dt
+from frontks.evolve import Etdrk4
 from frontks.grid import make_grid
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -201,6 +202,16 @@ def test_config_file_parsing_and_flag_override(tmp_path):
     assert report["alpha_c"] == pytest.approx(2.0)
 
 
+def test_config_file_key_given_twice_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("ell = 12.566370614359172\nn_modes = 16\nalphas = 1.5\nt_end = 1\ndt = 0.1\nalphas = 3\n")
+    out = tmp_path / "scan"
+    rc = main(["stability-scan", "--config", str(cfg), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["violations"] == [f"{cfg}:6: key 'alphas' given twice"]
+    assert not out.exists()
+
+
 def test_stability_scan_byte_identical_reruns(tmp_path):
     args = [
         "stability-scan", "--ell", "12.566370614359172", "--n-modes", "16",
@@ -366,6 +377,42 @@ def test_profiles_rejects_a_non_positive_period(ell, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,argv", [
+    ("ell", ["symbols", "--ell", "inf", "--n-modes", "8", "--alpha", "1"]),
+    ("amplitude", ["stability-scan", "--ell", "12.566370614359172", "--n-modes", "16", "--alphas", "1.5,3",
+                   "--t-end", "1", "--dt", "0.1", "--amplitude", "nan"]),
+    ("alpha", ["evolve-front", "--ell", "12.566370614359172", "--alpha", "inf", "--n-modes", "16",
+               "--t-end", "0.1", "--dt", "0.01"]),
+    ("phi", ["profiles", "--ell", "6.283185307179586", "--alpha", "1", "--k", "1", "--phi", "inf"]),
+    ("alphas", ["stability-scan", "--ell", "12.566370614359172", "--n-modes", "16", "--alphas", "1.5,inf",
+                "--t-end", "1", "--dt", "0.1"]),
+], ids=["symbols-ell-inf", "scan-amplitude-nan", "front-alpha-inf", "profiles-phi-inf", "scan-alphas-inf"])
+def test_non_finite_numbers_are_config_errors_before_any_run(key, argv, tmp_path, monkeypatch, capsys):
+    evolved = []
+    for module in (frontks.cli, frontks.experiments):
+        monkeypatch.setattr(module, "evolve", lambda config: evolved.append(config))
+    out = tmp_path / "run"
+    rc = main([*argv, "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert evolved == []
+    text = argv[argv.index("--" + key) + 1]
+    assert json.loads(capsys.readouterr().err)["violations"] == [f"key '{key}': must be finite, got '{text}'"]
+    assert not out.exists()
+
+
+def test_non_finite_numbers_are_reported_with_the_other_violations(tmp_path, capsys):
+    rc = main([
+        "stability-scan", "--ell=-inf", "--n-modes", "16", "--alphas", "nan,3", "--t-end", "1",
+        "--out", str(tmp_path / "scan"),
+    ])
+    assert rc == EXIT_CONFIG
+    assert set(json.loads(capsys.readouterr().err)["violations"]) == {
+        "key 'ell': must be finite, got '-inf'",
+        "key 'alphas': must be finite, got 'nan,3'",
+        "missing required key 'dt'",
+    }
+
+
 def test_convergence_cli_reports_order(tmp_path):
     out = tmp_path / "conv"
     rc = main([
@@ -510,6 +557,24 @@ def test_report_exit_code_follows_listed_blowups(subcommand, blows_up, tmp_path)
     blowups = json.loads((out / "report.json").read_text())["blowups"]
     assert rc == (EXIT_BLOWUP if blowups else EXIT_OK)
     assert bool(blowups) == blows_up
+
+
+# report study -> the report dataclass its run returns
+REPORT_TYPES = {
+    "stability-scan": frontks.experiments.StabilityScanReport,
+    "convergence": frontks.experiments.ConvergenceReport,
+    "energy": frontks.experiments.EnergyTrace,
+    "ks-apriori": frontks.experiments.KsAprioriReport,
+    "galerkin": frontks.experiments.GalerkinReport,
+}
+
+
+@pytest.mark.parametrize("subcommand", list(REPORT_RUNS))
+def test_report_json_is_every_report_field_and_the_config(subcommand, tmp_path):
+    out = tmp_path / subcommand
+    assert main([subcommand, *REPORT_RUNS[subcommand][False], "--out", str(out)]) == EXIT_OK
+    names = {f.name for f in dataclasses.fields(REPORT_TYPES[subcommand])}
+    assert set(json.loads((out / "report.json").read_text())) == names | {"config"}
 
 
 def test_ks_apriori_blowup_writes_outputs_then_exit_code(tmp_path):
@@ -658,7 +723,7 @@ def test_default_dt_reaches_t_end_in_whole_steps(tmp_path):
     assert rc == EXIT_OK
     summary = json.loads((tmp_path / "front" / "summary.json").read_text())
     assert summary["times"][-1] == pytest.approx(1.0, rel=1e-12)
-    assert len(summary["times"]) == 1 + math.ceil(1.0 / default_dt(make_grid(10.0, 16)))
+    assert len(summary["times"]) == 1 + math.ceil(1.0 / (1e-3 * (10.0 / (2 * math.pi)) ** 2))
 
 
 _EVOLVE_DEFAULTS = {

@@ -415,18 +415,18 @@ def test_solver_config_rejects_t_end_off_the_step_lattice():
 
 
 def test_default_dt_scaling():
-    assert default_dt(make_grid(TWO_PI, 8)) == pytest.approx(1e-3)
-    assert default_dt(make_grid(4 * np.pi, 8)) == pytest.approx(4e-3)
+    assert default_dt(make_grid(TWO_PI, 8), 1.0) == pytest.approx(1e-3)
+    assert default_dt(make_grid(4 * np.pi, 8), 1.0) == pytest.approx(4e-3)
 
 
 def test_default_dt_given_t_end_divides_it():
     grid = make_grid(10.0, 8)
-    base = default_dt(grid)
+    base = 1e-3 * (10.0 / TWO_PI) ** 2  # the default step before it is fitted to t_end
     dt = default_dt(grid, 1.0)
     assert dt < base and 1.0 / dt == pytest.approx(math.ceil(1.0 / base), rel=1e-12)
     assert SolverConfig(make_ks_equation(grid), SpectralField(grid, np.zeros(8)), dt, 1.0).dt == dt
     # a t_end the default already divides keeps the default bit for bit
-    assert default_dt(make_grid(TWO_PI, 8), 1.0) == default_dt(make_grid(TWO_PI, 8))
+    assert default_dt(make_grid(TWO_PI, 8), 1.0) == 1e-3
     assert default_dt(grid, base / 4) == base / 4  # shorter than one default step
     for t_end in (0.0, -1.0, np.inf, np.nan):  # left for SolverConfig to reject
         assert default_dt(grid, t_end) == base

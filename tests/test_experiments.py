@@ -71,19 +71,21 @@ def test_scan_reports_blowup_as_anomaly_not_crash():
     assert "nominally stable" in report.anomalies[0]
 
 
-def test_scan_keeps_trajectories_on_request():
-    report = run_stability_scan(
-        ell=4 * np.pi, alphas=[1.8], amplitude=1e-4, t_end=1.0,
-        n_modes=16, dt=0.01, seed=0, keep_trajectories=True,
-    )
-    assert set(report.trajectories) == {1.8}
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_scan_rejects_a_bad_alpha_before_evolving(bad, monkeypatch):
+    # the configs are all built, and each alpha checked, before the first run
+    evolved = []
+    monkeypatch.setattr(frontks.experiments, "evolve", evolved.append)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        run_stability_scan(ell=4 * np.pi, alphas=[1.5, bad], amplitude=1e-4, t_end=1.0, n_modes=16, dt=0.1)
+    assert evolved == []
 
 
 def test_convergence_study_small():
     ell0 = 10 * np.pi
     grid = make_grid(ell0, 64)
     phi0 = cosine_field(grid, 0.1, 1)
-    study = run_convergence_study(ell0, phi0, 0.5, [0.08, 0.04], dt=2e-3, output_stride=5)
+    study = run_convergence_study(phi0, 0.5, [0.08, 0.04], dt=2e-3, output_stride=5)
     rep = study.report
     assert rep.blowups == []
     assert np.all(rep.sup_errors > 0)
@@ -95,21 +97,21 @@ def test_convergence_zero_epsilon_is_exact_limit():
     ell0 = 10 * np.pi
     grid = make_grid(ell0, 32)
     phi0 = cosine_field(grid, 0.1, 1)
-    study = run_convergence_study(ell0, phi0, 0.2, [0.05, 0.0], dt=2e-3, output_stride=5)
+    study = run_convergence_study(phi0, 0.2, [0.05, 0.0], dt=2e-3, output_stride=5)
     assert study.report.sup_errors[1] == 0.0
 
 
 def test_convergence_requires_decreasing_epsilons():
     grid = make_grid(10 * np.pi, 16)
     with pytest.raises(ValueError):
-        run_convergence_study(10 * np.pi, cosine_field(grid, 0.1, 1), 0.1, [0.01, 0.02], dt=1e-2)
+        run_convergence_study(cosine_field(grid, 0.1, 1), 0.1, [0.01, 0.02], dt=1e-2)
 
 
 def _paired_run(eps, t_end=0.3, n=32, stride=5):
     ell0 = 10 * np.pi
     grid = make_grid(ell0, n)
     phi0 = cosine_field(grid, 0.1, 1)
-    return run_convergence_study(ell0, phi0, t_end, [eps], dt=2e-3, output_stride=stride)
+    return run_convergence_study(phi0, t_end, [eps], dt=2e-3, output_stride=stride)
 
 
 def test_energy_identity_against_three_term_definition():
@@ -121,7 +123,7 @@ def test_energy_identity_against_three_term_definition():
     table = build_rescaled_symbols(eps, psi.grid)
     i = len(trace.times) - 1
     rho = SpectralField(psi.grid, (psi.coeffs[i] - phi.coeffs[i]) / eps)
-    zeta = differentiate(rho, 1)
+    zeta = differentiate(rho)
     three_terms = (
         float(np.sum(zeta.coeffs**2))
         + 4 * eps * float(np.sum(psi.grid.eigenvalues * zeta.coeffs**2))

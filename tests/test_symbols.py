@@ -88,8 +88,9 @@ def test_stiffness_factorisation_identity():
 def test_alpha_critical_values():
     assert alpha_critical(4 * np.pi) == pytest.approx(2.0, abs=1e-15)
     assert alpha_critical(TWO_PI) == pytest.approx(5.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        alpha_critical(0.0)
+    for ell in (0.0, np.inf):
+        with pytest.raises(ValueError, match="period must be positive"):
+            alpha_critical(ell)
 
 
 def test_growth_sign_flips_at_threshold():
@@ -126,10 +127,12 @@ def test_large_mode_asymptotic_bands():
         assert 0.8 < table.quad_gain[-1] / (0.5 * np.sqrt(lam)) < 1.2
 
 
-@pytest.mark.parametrize("alpha", [0.0, -1.0])
+@pytest.mark.parametrize("alpha", [0.0, -1.0, np.inf, np.nan])
 def test_invalid_alpha(alpha):
     with pytest.raises(ValueError):
         build_symbols(alpha, make_grid(TWO_PI, 8))
+    with pytest.raises(ValueError):
+        front_mode_symbols(alpha, 1.0)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -0.5, 1.5])
