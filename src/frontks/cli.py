@@ -1,19 +1,18 @@
 """Command-line entry point: config handling, seeded runs, CSV/JSON reports.
 
-Configs are flat ``key = value`` text files, each key at most once; every
-key can also be given as a ``--key`` flag, flags override file values, and
-both are parsed by one parser, which takes only finite numbers.  Unknown
-keys are rejected and all validation problems are reported at once as a
-JSON error object on stderr.  Exit codes: 0 success, 2 config error, 3
-numerical blowup (after the outputs are written), 4 I/O error.  Identical
-config + seed reproduces byte-identical CSV output (floats are written with
-17 significant digits).
+Configs are flat ``key = value`` text files, each key at most once; the
+arguments after the subcommand are such lines too (``--x-min -1e1`` or
+``--x-min=-1e1`` is ``x_min = -1e1``), flags override file values, and both
+are parsed by one parser, which takes only finite numbers.  ``--help`` lists
+the keys.  Errors are a JSON object on stderr: a malformed line or flag
+alone, every other problem (unknown keys included) at once.  Exit codes: 0
+success, 2 config error, 3 numerical blowup (after the outputs are written),
+4 I/O error.  Identical config + seed reproduces byte-identical CSV output
+(floats are written with 17 significant digits).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
@@ -34,7 +33,7 @@ from .evolve import (
     make_ks_equation,
     make_rescaled_equation,
 )
-from .grid import SpectralField, cosine_field, make_grid, random_zero_mean_field
+from .grid import SpectralField, cosine_field, eigenvalue, make_grid, random_zero_mean_field
 from .profiles import (
     FrontModeData,
     front_time_derivative,
@@ -92,7 +91,7 @@ KEYS: dict[str, tuple[str, str]] = {
     "epsilon": ("float", "slow-scale parameter"),
     "epsilons": ("floats", "decreasing slow-scale parameters"),
     "t_end": ("float", "final time"),
-    "dt": ("float", "time step (evolve-*: default scales with the squared period)"),
+    "dt": ("float", "time step; None in evolve-*: scaled with the squared period"),
     "output_stride": ("int", "snapshot every this many steps"),
     "ic": ("str", "initial condition: random | cosine"),
     "amplitude": ("float", "initial amplitude"),
@@ -103,7 +102,7 @@ KEYS: dict[str, tuple[str, str]] = {
     "k": ("int", "mode index (0 for the mean mode)"),
     "phi": ("float", "front coefficient"),
     "phiy_sq": ("float", "squared-slope coefficient"),
-    "phi_t": ("float", "front time derivative (default: from the front law)"),
+    "phi_t": ("float", "front time derivative; None: from the front law"),
     "x_min": ("float", "left end of the profile grid"),
     "x_max": ("float", "right end of the profile grid"),
     "x_count": ("int", "number of profile grid points"),
@@ -141,35 +140,41 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def read_flags(args: list[str]) -> dict[str, str]:
+    """Each ``--key value`` or ``--key=value`` as ``key = value``, ``-`` in the key read as ``_``."""
+    values, rest = {}, iter(args)
+    for arg in rest:
+        flag, eq, raw = arg.partition("=")
+        if not flag.startswith("--"):
+            raise ValueError(f"expected a --key flag, got '{arg}'")
+        if not eq and (raw := next(rest, None)) is None:
+            raise ValueError(f"flag '{flag}' has no value")
+        key = flag[2:].replace("-", "_")
+        if key in values:
+            raise ValueError(f"flag '{flag}': key '{key}' given twice")
+        values[key] = raw
+    return values
+
+
 class ConfigError(Exception):
     def __init__(self, violations: list[str]):
         self.violations = violations
         super().__init__("; ".join(violations))
 
 
-def resolve_config(study: Study, args: argparse.Namespace) -> dict:
-    """Merge defaults <- config file <- CLI flags, validating everything at once.
+def resolve_config(study: Study, flags: dict[str, str], config: str | None = None) -> dict:
+    """Merge defaults <- config file <- flags, validating everything at once.
 
     File and flag values are the same raw strings, parsed by one parser.
     """
     merged = dict.fromkeys(study.required) | study.optional
-    violations: list[str] = []
-    raw: dict[str, str] = {}
-
-    if getattr(args, "config", None):
-        try:
-            from_file = read_config_file(args.config)
-        except OSError as err:
-            raise ConfigError([f"cannot read config file: {err}"]) from err
-        except ValueError as err:
-            raise ConfigError([str(err)]) from err
-        for key, text in from_file.items():
-            if key in merged:
-                raw[key] = text
-            else:
-                violations.append(f"unknown key '{key}'")
-    raw.update({k: getattr(args, k) for k in merged if getattr(args, k, None) is not None})
-
+    try:
+        from_file = {} if config is None else read_config_file(config)
+    except OSError as err:
+        raise ConfigError([f"cannot read config file: {err}"]) from err
+    raw = from_file | flags
+    violations = [f"unknown key '{key}'" for key in raw if key not in merged]
+    raw = {key: text for key, text in raw.items() if key in merged}
     for key, text in raw.items():
         kind = KEYS[key][0]
         try:
@@ -187,20 +192,11 @@ def resolve_config(study: Study, args: argparse.Namespace) -> dict:
     return merged
 
 
-def _add_schema_flags(parser: argparse.ArgumentParser, study: Study) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--out", help="output directory (default: namespaced under $%s or ./runs)" % OUTPUT_DIR_ENV)
-    for name in [*study.required, *study.optional]:
-        kind, text = KEYS[name]
-        listed = " (comma separated)" if kind in ("floats", "ints") else ""
-        parser.add_argument("--" + name.replace("_", "-"), dest=name, help=text + listed)
-
-
-def _output_dir(args: argparse.Namespace, subcommand: str) -> str:
+def _output_dir(out: str | None, subcommand: str) -> str:
     """The run's output directory, made if it does not exist yet."""
-    if getattr(args, "out", None):
-        os.makedirs(args.out, exist_ok=True)
-        return args.out
+    if out:
+        os.makedirs(out, exist_ok=True)
+        return out
     base = os.environ.get(OUTPUT_DIR_ENV, "runs")
     os.makedirs(base, exist_ok=True)
     # made exclusively, so two runs stamped in the same second get two directories
@@ -295,7 +291,7 @@ def _cmd_profiles(cfg) -> tuple[int, dict]:
         raise ConfigError(["key 'k': must be non-negative"])
     if cfg["x_count"] < 1:
         raise ConfigError(["key 'x_count': must be positive"])
-    lam = float(make_grid(cfg["ell"], max(k + 1, 3)).eigenvalues[k])
+    lam = eigenvalue(cfg["ell"], k)
     phi_t = cfg["phi_t"]
     if phi_t is None:
         phi_t = front_time_derivative(cfg["alpha"], lam, cfg["phi"], cfg["phiy_sq"])
@@ -332,11 +328,6 @@ def _cmd_profiles(cfg) -> tuple[int, dict]:
 # report studies: run(cfg) -> report dataclass, turned into files by _report_files
 
 
-def _run_scan(cfg) -> xp.StabilityScanReport:
-    # the keys are run_stability_scan's parameters, looked up when the scan runs
-    return xp.run_stability_scan(**cfg)
-
-
 def _convergence(cfg, epsilons) -> xp.ConvergenceStudy:
     grid = make_grid(cfg["ell0"], cfg["n_modes"])
     return xp.run_convergence_study(
@@ -346,10 +337,6 @@ def _convergence(cfg, epsilons) -> xp.ConvergenceStudy:
         dt=cfg["dt"],
         output_stride=cfg["output_stride"],
     )
-
-
-def _run_convergence(cfg) -> xp.ConvergenceReport:
-    return _convergence(cfg, sorted(cfg["epsilons"], reverse=True)).report
 
 
 def _run_energy(cfg) -> xp.EnergyTrace:
@@ -364,10 +351,6 @@ def _run_energy(cfg) -> xp.EnergyTrace:
         raise ConfigError(violations)
     study = _convergence(cfg, [eps])
     return xp.run_energy_monitor(study.rescaled_trajectories[eps], study.ks_trajectory, eps, cfg["order"])
-
-
-def _run_ks_apriori(cfg) -> xp.KsAprioriReport:
-    return xp.run_ks_apriori_check(_single_run("ks", cfg))
 
 
 def _run_galerkin(cfg) -> xp.GalerkinReport:
@@ -401,7 +384,8 @@ class Study:
     """One subcommand: its config keys, what it runs and, for report studies, its CSV.
 
     ``required`` keys must be set; ``optional`` maps the others to their
-    defaults.  ``run(cfg)`` returns the exit code and the files to write,
+    defaults.  They are the only keys a config file or flag may set, and
+    ``--help`` lists them.  ``run(cfg)`` returns the exit code and the files to write,
     each name mapped to ``(header, rows)`` for a CSV or to a dict for JSON;
     with ``csv`` set it returns a report instead, which lists its blown-up
     runs in ``blowups`` and which ``_report_files`` turns into that pair,
@@ -448,7 +432,7 @@ STUDIES: dict[str, Study] = {
     "stability-scan": Study(
         ("ell", "n_modes", "alphas", "t_end", "dt"),
         {"amplitude": 1e-4, "seed": 0, "output_stride": 1},
-        _run_scan,
+        lambda cfg: xp.run_stability_scan(**cfg),  # the keys are its parameters
         "scan.csv",
         {
             "alpha": "alphas",
@@ -460,7 +444,7 @@ STUDIES: dict[str, Study] = {
     "convergence": Study(
         ("ell0", "n_modes", "t_end", "epsilons", "dt"),
         {"amplitude": 0.1, "harmonic": 1, "output_stride": 10},
-        _run_convergence,
+        lambda cfg: _convergence(cfg, sorted(cfg["epsilons"], reverse=True)).report,
         "convergence.csv",
         {"epsilon": "epsilons", "sup_error": "sup_errors", "ratio": "ratios", "zeta_sup_l2": "zeta_sup_l2"},
     ),
@@ -474,7 +458,7 @@ STUDIES: dict[str, Study] = {
     "ks-apriori": Study(
         ("ell0", "n_modes", "t_end", "dt"),
         {"ic": "cosine", "amplitude": 0.1, "seed": 0, "harmonic": 1, "phase": 0.0, "output_stride": 10},
-        _run_ks_apriori,
+        lambda cfg: xp.run_ks_apriori_check(_single_run("ks", cfg)),
         "apriori.csv",
         {
             "tau": "times",
@@ -494,27 +478,35 @@ STUDIES: dict[str, Study] = {
 }
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="frontks",
-        description="Pseudospectral front-equation / Kuramoto-Sivashinsky toolkit",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, study in STUDIES.items():
-        _add_schema_flags(sub.add_parser(name), study)
-    return parser
+def _usage(names) -> str:
+    """Usage of the named subcommands: each key with its kind, help and default."""
+    lines = ["usage: frontks SUBCOMMAND [--config FILE] [--out DIR] [--key value | --key=value ...]",
+             f"--out defaults to a new directory under ${OUTPUT_DIR_ENV} or ./runs"]
+    for name in names:
+        study = STUDIES[name]
+        lines.append(name)
+        for key in [*study.required, *study.optional]:
+            note = "required" if key in study.required else f"default: {study.optional[key]}"
+            lines.append("  --%-14s%-8s%s (%s)" % (key.replace("_", "-"), *KEYS[key], note))
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    study = STUDIES[args.subcommand]
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_usage([name for name in argv[:1] if name in STUDIES] or STUDIES))
+        return EXIT_OK
     try:
-        cfg = resolve_config(study, args)
+        if not argv or argv[0] not in STUDIES:
+            what = f"unknown subcommand '{argv[0]}'" if argv else "missing subcommand"
+            raise ConfigError([f"{what}; expected one of {', '.join(STUDIES)}"])
+        study = STUDIES[argv[0]]
+        flags = read_flags(argv[1:])
+        out = flags.pop("out", None)
+        cfg = resolve_config(study, flags, flags.pop("config", None))
         code, files = _report_files(study, study.run(cfg), cfg) if study.csv else study.run(cfg)
         # made only now, so a run that fails leaves no directory behind
-        outdir = _output_dir(args, args.subcommand)
+        outdir = _output_dir(out, argv[0])
         for name, content in files.items():
             path = os.path.join(outdir, name)
             if isinstance(content, dict):

@@ -29,6 +29,7 @@ __all__ = [
     "SpectralGrid",
     "SpectralField",
     "make_grid",
+    "eigenvalue",
     "collocation_points",
     "transform",
     "inverse_transform",
@@ -72,17 +73,16 @@ class SpectralGrid:
     _ik: np.ndarray = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not 0 < self.period < np.inf:
-            raise ValueError(f"period must be positive and finite, got {self.period}")
+        # first, as eigenvalue checks the period
+        object.__setattr__(self, "eigenvalues", eigenvalue(self.period, np.arange(self.n_modes)))
         if self.n_modes < 3:
             raise ValueError(f"n_modes must be at least 3, got {self.n_modes}")
         # smallest even count above 3N/2 (>= 3K + 1 for top harmonic K, the 3/2
         # rule that keeps truncated quadratics alias-free), rounded up to the next
         # even count with no prime factor above 7, the sizes pocketfft is fast on
         object.__setattr__(self, "n_points", _fft_friendly(2 * (3 * self.n_modes // 4 + 1)))
-        # wavenumbers q_j = 2 pi j / L of the harmonics j = 0..K; mode k has j = (k+1)//2
+        # wavenumbers q_j = 2 pi j / L of the harmonics j = 0..K
         q = 2.0 * np.pi * np.arange(self.max_harmonic + 1) / self.period
-        object.__setattr__(self, "eigenvalues", q[(np.arange(self.n_modes) + 1) // 2] ** 2)
         # coefficient k >= 1 is sqrt(2) (-1)^j times Re z_j (cos, k odd) or
         # -Im z_j (sin, k even): a sign pattern of period 4 in k; the mean is Re z_0
         scale = np.tile([-_SQRT2, _SQRT2, _SQRT2, -_SQRT2], self.n_modes // 4 + 1)
@@ -135,6 +135,14 @@ class SpectralField:
 def make_grid(period: float, n_modes: int) -> SpectralGrid:
     """Build a grid; eigenvalues follow the exact multiplicity-2 layout."""
     return SpectralGrid(float(period), int(n_modes))
+
+
+def eigenvalue(period: float, k):
+    """lam_k = (2 pi j / L)^2 of mode k in harmonic j = (k+1)//2; k is an int or an int array."""
+    if not 0 < period < np.inf:
+        raise ValueError(f"period must be positive and finite, got {period}")
+    q = 2.0 * np.pi * ((k + 1) // 2) / period
+    return q * q
 
 
 def collocation_points(grid: SpectralGrid, n_points: int | None = None) -> np.ndarray:

@@ -1,6 +1,5 @@
 """CLI: config handling, outputs, exit codes, reproducibility."""
 
-import argparse
 import dataclasses
 import json
 import math
@@ -8,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +20,9 @@ from frontks.cli import (
     EXIT_IO,
     EXIT_OK,
     STUDIES,
-    build_parser,
     main,
     read_config_file,
+    read_flags,
     resolve_config,
     write_csv,
 )
@@ -86,24 +86,6 @@ def test_symbols_alpha_writes_only_the_table(tmp_path):
     assert [p.name for p in out.iterdir()] == ["symbols.csv"]
 
 
-def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
-    argv = ["symbols", "--ell", "6.2832", "--n-modes", "8", "--alpha", "1.0"]
-    assert main([*argv, "--out", str(tmp_path / "warm")]) == EXIT_OK
-    added = []
-    add_argument = argparse.ArgumentParser.add_argument
-
-    def counted(self, *args, **kwargs):
-        added.append(args)
-        return add_argument(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
-    assert main([*argv, "--out", str(tmp_path / "again")]) == EXIT_OK
-    assert added == []
-    assert build_parser() is build_parser()
-    build_parser.__wrapped__()  # a fresh build is seen by the counter
-    assert added
-
-
 def test_symbols_needs_exactly_one_parameter(tmp_path, capsys):
     rc = main(["symbols", "--ell", "6.28", "--n-modes", "8", "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
@@ -165,6 +147,48 @@ def test_empty_list_is_a_config_error(key, argv, tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["violations"] == [f"key '{key}': empty list"]
     assert not (tmp_path / "run").exists()
+
+
+PROFILE = ["profiles", "--ell", "6.283185307179586", "--alpha", "1", "--k", "1"]
+SYMBOLS = ["symbols", "--n-modes", "8", "--alpha", "1"]
+
+
+# how the CLI is called, its arguments, then either the config-file lines
+# that stand for the arguments after PROFILE (the outputs must match byte
+# for byte) or the violations it must be refused with
+@pytest.mark.parametrize("how,argv,want", [
+    ("main", [*PROFILE, "--phi", "1", "--x-min", "-1e1"], "phi = 1\nx_min = -1e1\n"),
+    ("main", [*PROFILE, "--phi", "-1E-3"], "phi = -1E-3\n"),
+    ("main", [*PROFILE, "--phi=-1E-3", "--x-min", "-1e1"], "phi = -1E-3\nx_min = -1e1\n"),
+    ("main", [*SYMBOLS, "--ell", "-inf"], ["key 'ell': must be finite, got '-inf'"]),
+    ("python -m", [*SYMBOLS, "--ell", "-inf"], ["key 'ell': must be finite, got '-inf'"]),
+    ("main", [*SYMBOLS, "--ell", "6.28", "--bogus", "1"], ["unknown key 'bogus'"]),
+    ("main", [*SYMBOLS, "--ell", "6.28", "--ell", "3"], ["flag '--ell': key 'ell' given twice"]),
+    ("main", [*SYMBOLS, "--ell"], ["flag '--ell' has no value"]),
+    ("main", ["symbol", "--ell", "6.28"], [f"unknown subcommand 'symbol'; expected one of {', '.join(STUDIES)}"]),
+], ids=["x-min-exponent", "phi-exponent", "key=value", "minus-inf", "minus-inf-python-m", "unknown-flag",
+        "repeated-flag", "dangling-flag", "unknown-subcommand"])
+def test_flags_are_read_as_config_lines(how, argv, want, tmp_path, capsys):
+    out = tmp_path / "run"  # given first, so that a dangling flag stays last
+    if how == "main":
+        rc, err = main([argv[0], "--out", str(out), *argv[1:]]), capsys.readouterr().err
+    else:
+        src = str(pathlib.Path(frontks.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "frontks.cli", argv[0], "--out", str(out), *argv[1:]],
+                              env=env, capture_output=True, text=True, timeout=120)
+        rc, err = proc.returncode, proc.stderr
+    if isinstance(want, list):
+        assert rc == EXIT_CONFIG
+        assert json.loads(err) == {"error": "config", "violations": want}  # one JSON object
+        assert not out.exists()
+        return
+    assert rc == EXIT_OK
+    cfg = tmp_path / "keys.cfg"
+    cfg.write_text(want)
+    assert main([*PROFILE, "--config", str(cfg), "--out", str(tmp_path / "file")]) == EXIT_OK
+    for name in ("profile.csv", "residuals.json"):
+        assert (out / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
 
 def test_numerical_failure_is_not_a_config_error(tmp_path, monkeypatch):
@@ -354,6 +378,19 @@ def test_profiles_default_time_derivative_closes_jump(tmp_path):
     header, rows = _read_csv(out / "profile.csv")
     assert header == ["x", "u", "v"]
     assert len(rows) == 301
+
+
+def test_profiles_reads_one_eigenvalue_in_constant_memory(tmp_path):
+    # one mode's eigenvalue needs no grid that holds all modes up to it
+    argv = ["profiles", "--ell", "6.283185307179586", "--alpha", "1", "--k", "1000000", "--phi", "1"]
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", str(tmp_path / "prof")]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert json.loads((tmp_path / "prof" / "residuals.json").read_text())["lambda"] == 2.5e11
 
 
 def test_profiles_rejects_an_empty_grid_before_writing(tmp_path, capsys):
@@ -767,17 +804,19 @@ CONFIG_SURFACE = {
 @pytest.mark.parametrize("name", list(CONFIG_SURFACE))
 def test_config_surface_is_pinned(name, tmp_path, capsys):
     required, defaults = CONFIG_SURFACE[name]
-    parser = build_parser()
-    sub = parser._subparsers._group_actions[0].choices[name]
-    flags = {o for action in sub._actions for o in action.option_strings} - {"-h", "--help"}
-    assert flags == {"--config", "--out"} | {"--" + k.replace("_", "-") for k in [*required, *defaults]}
+    assert main([name, "--help"]) == EXIT_OK
+    usage, _, heading, *keys = capsys.readouterr().out.splitlines()
+    assert "[--config FILE] [--out DIR]" in usage
+    assert heading == name
+    assert [line.split()[0] for line in keys] == ["--" + k.replace("_", "-") for k in [*required, *defaults]]
+    assert [line.endswith("(required)") for line in keys] == [k in required for k in [*required, *defaults]]
 
     assert main([name, "--out", str(tmp_path)]) == EXIT_CONFIG
     violations = json.loads(capsys.readouterr().err)["violations"]
     assert violations == [f"missing required key '{k}'" for k in required]
 
     argv = [name] + [arg for k in required for arg in ("--" + k.replace("_", "-"), "1")]
-    cfg = resolve_config(STUDIES[name], parser.parse_args(argv))
+    cfg = resolve_config(STUDIES[name], read_flags(argv[1:]))
     assert sorted(cfg) == sorted([*required, *defaults])
     resolved_defaults = {k: v for k, v in cfg.items() if k not in required}
     # JSON tells 1 from 1.0, as report.json and summary.json do

@@ -1,11 +1,14 @@
 """Evolver: descriptors, ETDRK4 stepping, trajectories, mean-mode law."""
 
 import dataclasses
+import functools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frontks.evolve import (
     Etdrk4,
@@ -277,6 +280,67 @@ def test_step_coeffs_is_the_textbook_step_bit_for_bit(n, equation):
         assert np.array_equal(u, before)
         assert not np.shares_memory(out, u)
         u = out
+
+
+SYMMETRY_PERIOD = 40.0
+SYMMETRY_EQUATIONS = {
+    "front": lambda grid: make_front_equation(2.5, grid),
+    "ks": make_ks_equation,
+    "rescaled": lambda grid: make_rescaled_equation(0.04, grid),
+}
+
+
+@functools.cache
+def _symmetry_stepper(equation, n):
+    return Etdrk4(SYMMETRY_EQUATIONS[equation](make_grid(SYMMETRY_PERIOD, n)), 0.01)
+
+
+def _half_period_shift(coeffs):
+    # f(y - L/2): harmonic j = (k+1)//2 changes sign with j, exactly on any truncation
+    return coeffs * (-1.0) ** ((np.arange(coeffs.size) + 1) // 2)
+
+
+def _reflect(coeffs):
+    # f(-y): the sin coefficients change sign
+    out = coeffs.copy()
+    out[2::2] *= -1.0
+    return out
+
+
+def _add_to_mean(coeffs):
+    out = coeffs.copy()
+    out[0] += 3.7
+    return out
+
+
+def _shift(coeffs):
+    # f(y - 0.37 L / 7) on an odd truncation: each (cos_j, sin_j) pair turns by q_j times the shift
+    angle = 2.0 * np.pi * np.arange(1, coeffs.size // 2 + 1) * 0.37 / 7
+    cos, sin = coeffs[1::2], coeffs[2::2]
+    out = coeffs.copy()
+    out[1::2] = np.cos(angle) * cos - np.sin(angle) * sin
+    out[2::2] = np.sin(angle) * cos + np.cos(angle) * sin
+    return out
+
+
+# 16, 17 and 128 take the matrix path, 129, 256 and 257 the FFT path; a general
+# shift keeps only odd truncations, where every cosine has its sin partner
+@pytest.mark.parametrize("symmetry,n", [
+    *((s, n) for s in (_half_period_shift, _reflect, _add_to_mean) for n in (16, 17, 128, 129, 256, 257)),
+    *((_shift, n) for n in (17, 129, 257)),
+], ids=lambda v: v.__name__.strip("_") if callable(v) else str(v))
+@pytest.mark.parametrize("equation", sorted(SYMMETRY_EQUATIONS))
+@given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(1e-3, 10.0), mean=st.floats(-10.0, 10.0))
+@settings(max_examples=10, deadline=None)
+def test_step_commutes_with_the_symmetries_of_the_equations(equation, symmetry, n, seed, amplitude, mean):
+    # each equation is invariant under translation, reflection and adding a constant
+    stepper = _symmetry_stepper(equation, n)
+    u = random_zero_mean_field(stepper.descriptor.grid, amplitude, seed).coeffs
+    u[0] = mean
+    stepped = stepper.step_coeffs(u)
+    want = symmetry(stepped)
+    got = stepper.step_coeffs(symmetry(u))
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(np.abs(stepped)), np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("n,ffts_per_step", [(128, 0), (129, 8)])

@@ -13,6 +13,7 @@ from frontks.grid import (
     cosine_field,
     dealiased_square,
     differentiate,
+    eigenvalue,
     inverse_transform,
     make_grid,
     random_zero_mean_field,
@@ -47,6 +48,13 @@ def test_grid_eigenvalue_pattern_exact():
             if n % 2 == 0:
                 weights[-1] = 0.0
             assert np.array_equal(slope_energy_weights(grid), weights), (period, n)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 64, 1001])
+def test_eigenvalue_of_one_mode_is_the_grids_bit_for_bit(k):
+    for period in PERIODS:
+        for n in (max(k + 1, 3), max(k + 2, 4)):  # one odd and one even truncation
+            assert eigenvalue(period, k) == make_grid(period, n).eigenvalues[k], (period, n)
 
 
 def test_grid_points_even_and_sufficient():
