@@ -5,10 +5,12 @@ arguments after the subcommand are such lines too (``--x-min -1e1`` or
 ``--x-min=-1e1`` is ``x_min = -1e1``), flags override file values, and both
 are parsed by one parser, which takes only finite numbers.  ``--help`` lists
 the keys.  Errors are a JSON object on stderr: a malformed line or flag
-alone, every other problem (unknown keys included) at once.  Exit codes: 0
-success, 2 config error, 3 numerical blowup (after the outputs are written),
-4 I/O error.  Identical config + seed reproduces byte-identical CSV output
-(floats are written with 17 significant digits).
+alone, the schema's problems (unknown keys included) at once, a study's own
+checks one at a time.  Exit codes: 0 success, 2 config error, 3 numerical
+blowup (after the outputs are written), 4 I/O error, such as an ``--out``
+holding files the run would not rewrite.  Identical config + seed
+reproduces byte-identical CSV output (floats are written with 17
+significant digits).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 from . import experiments as xp
 from .evolve import (
     SolverConfig,
-    Trajectory,
     default_dt,
     evolve,
     make_front_equation,
@@ -204,12 +205,15 @@ def _output_dir(out: str | None, subcommand: str) -> str:
     return tempfile.mkdtemp(prefix=f"{subcommand}-{stamp}-", dir=base)
 
 
-def _initial_condition(grid, cfg) -> SpectralField:
-    if cfg["ic"] == "cosine":
-        return cosine_field(grid, cfg["amplitude"], cfg["harmonic"], cfg["phase"])
-    if cfg["ic"] == "random":
+def _initial_field(cfg) -> SpectralField:
+    """cfg's initial field on its period and truncation: a cosine unless cfg sets ``ic``."""
+    grid = make_grid(cfg["ell"] if "ell" in cfg else cfg["ell0"], cfg["n_modes"])
+    ic = cfg.get("ic", "cosine")
+    if ic == "cosine":
+        return cosine_field(grid, cfg["amplitude"], cfg["harmonic"], cfg.get("phase", 0.0))
+    if ic == "random":
         return random_zero_mean_field(grid, cfg["amplitude"], cfg["seed"])
-    raise ConfigError([f"key 'ic': expected 'random' or 'cosine', got '{cfg['ic']}'"])
+    raise ConfigError([f"key 'ic': expected 'random' or 'cosine', got '{ic}'"])
 
 
 # equation name -> (its parameter key, or None, and (parameter, grid) -> descriptor)
@@ -228,20 +232,6 @@ def _equation(name: str, cfg: dict):
     if key is not None and cfg[key] is None:
         raise ConfigError([f"key '{key}' is required when equation={name}"])
     return lambda grid: make(cfg[key] if key else None, grid)
-
-
-def _single_run(equation: str, cfg: dict) -> Trajectory:
-    """One evolve call on the period, truncation, initial field and step of cfg."""
-    grid = make_grid(cfg["ell"] if "ell" in cfg else cfg["ell0"], cfg["n_modes"])
-    return evolve(
-        SolverConfig(
-            descriptor=_equation(equation, cfg)(grid),
-            initial_condition=_initial_condition(grid, cfg),
-            dt=cfg["dt"] if cfg["dt"] is not None else default_dt(grid, cfg["t_end"]),
-            t_end=cfg["t_end"],
-            output_stride=cfg["output_stride"],
-        )
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +258,16 @@ def _cmd_symbols(cfg) -> tuple[int, dict]:
 
 
 def _cmd_evolve(equation, cfg) -> tuple[int, dict]:
-    traj = _single_run(equation, cfg)
+    phi0 = _initial_field(cfg)
+    traj = evolve(
+        SolverConfig(
+            descriptor=_equation(equation, cfg)(phi0.grid),
+            initial_condition=phi0,
+            dt=cfg["dt"] if cfg["dt"] is not None else default_dt(phi0.grid, cfg["t_end"]),
+            t_end=cfg["t_end"],
+            output_stride=cfg["output_stride"],
+        )
+    )
     header = ["time"] + [f"a{k}" for k in range(traj.grid.n_modes)]
     return EXIT_BLOWUP if traj.blown_up else EXIT_OK, {
         "trajectory.csv": (header, np.column_stack([traj.times, traj.coeffs]).tolist()),
@@ -326,31 +325,6 @@ def _cmd_profiles(cfg) -> tuple[int, dict]:
 
 # ---------------------------------------------------------------------------
 # report studies: run(cfg) -> report dataclass, turned into files by _report_files
-
-
-def _convergence(cfg, epsilons) -> xp.ConvergenceStudy:
-    grid = make_grid(cfg["ell0"], cfg["n_modes"])
-    return xp.run_convergence_study(
-        phi0=cosine_field(grid, cfg["amplitude"], cfg["harmonic"]),
-        t_end=cfg["t_end"],
-        epsilons=epsilons,
-        dt=cfg["dt"],
-        output_stride=cfg["output_stride"],
-    )
-
-
-def _run_energy(cfg) -> xp.EnergyTrace:
-    eps = cfg["epsilon"]
-    # checked here because the library only sees these after both evolutions
-    violations = []
-    if cfg["order"] not in (0, 1, 2):
-        violations.append(f"key 'order': must be 0, 1 or 2, got {cfg['order']}")
-    if not 0 < eps <= 1:
-        violations.append(f"key 'epsilon': must lie in (0, 1], got {eps:g}")
-    if violations:
-        raise ConfigError(violations)
-    study = _convergence(cfg, [eps])
-    return xp.run_energy_monitor(study.rescaled_trajectories[eps], study.ks_trajectory, eps, cfg["order"])
 
 
 def _run_galerkin(cfg) -> xp.GalerkinReport:
@@ -444,21 +418,25 @@ STUDIES: dict[str, Study] = {
     "convergence": Study(
         ("ell0", "n_modes", "t_end", "epsilons", "dt"),
         {"amplitude": 0.1, "harmonic": 1, "output_stride": 10},
-        lambda cfg: _convergence(cfg, sorted(cfg["epsilons"], reverse=True)).report,
+        lambda cfg: xp.run_convergence_study(
+            _initial_field(cfg), cfg["t_end"], sorted(cfg["epsilons"], reverse=True), cfg["dt"], cfg["output_stride"]
+        ),
         "convergence.csv",
         {"epsilon": "epsilons", "sup_error": "sup_errors", "ratio": "ratios", "zeta_sup_l2": "zeta_sup_l2"},
     ),
     "energy": Study(
         ("ell0", "n_modes", "epsilon", "t_end", "dt"),
         {"order": 0, "amplitude": 0.1, "harmonic": 1, "output_stride": 10},
-        _run_energy,
+        lambda cfg: xp.run_energy_monitor(
+            _initial_field(cfg), cfg["t_end"], cfg["epsilon"], cfg["dt"], cfg["output_stride"], cfg["order"]
+        ),
         "energy.csv",
         {"tau": "times", "energy": "values"},
     ),
     "ks-apriori": Study(
         ("ell0", "n_modes", "t_end", "dt"),
         {"ic": "cosine", "amplitude": 0.1, "seed": 0, "harmonic": 1, "phase": 0.0, "output_stride": 10},
-        lambda cfg: xp.run_ks_apriori_check(_single_run("ks", cfg)),
+        lambda cfg: xp.run_ks_apriori_check(_initial_field(cfg), cfg["t_end"], cfg["dt"], cfg["output_stride"]),
         "apriori.csv",
         {
             "tau": "times",
@@ -507,6 +485,9 @@ def main(argv=None) -> int:
         code, files = _report_files(study, study.run(cfg), cfg) if study.csv else study.run(cfg)
         # made only now, so a run that fails leaves no directory behind
         outdir = _output_dir(out, argv[0])
+        # a reused --out may hold only the files this run rewrites, so two runs never mix
+        if stale := sorted(set(os.listdir(outdir)) - set(files)):
+            raise FileExistsError(f"{outdir} holds files this run would not write: {', '.join(stale)}")
         for name, content in files.items():
             path = os.path.join(outdir, name)
             if isinstance(content, dict):

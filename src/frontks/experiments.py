@@ -30,7 +30,6 @@ from .symbols import alpha_critical, build_rescaled_symbols
 __all__ = [
     "StabilityScanReport",
     "ConvergenceReport",
-    "ConvergenceStudy",
     "EnergyTrace",
     "KsAprioriReport",
     "GalerkinReport",
@@ -161,22 +160,13 @@ class ConvergenceReport:
     blowups: list[float]
 
 
-@dataclass
-class ConvergenceStudy:
-    """Report plus the raw trajectories, for energy/a-priori post-processing."""
-
-    report: ConvergenceReport
-    ks_trajectory: Trajectory
-    rescaled_trajectories: dict[float, Trajectory]
-
-
 def run_convergence_study(
     phi0: SpectralField,
     t_end: float,
     epsilons,
     dt: float,
     output_stride: int = 10,
-) -> ConvergenceStudy:
+) -> ConvergenceReport:
     """Integrate the limit equation and the slow-scale equation side by side.
 
     Both run in the same slow frame (phi0's grid, slow time), from the same
@@ -203,8 +193,7 @@ def run_convergence_study(
     # keyed like blowups, so the eps = 0 row reads the K-S run, runs[0.0]
     runs = dict(_evolve_each(configs, blowups))
     ks_traj = runs[0.0]
-    trajectories = {float(eps): runs[float(eps)] for eps in epsilons}
-    for traj in trajectories.values():
+    for traj in (runs[float(eps)] for eps in epsilons):
         if traj.blown_up or ks_traj.blown_up:
             # a run cut short has no gap to measure; its snapshots stop early
             sup_errors.append(np.nan)
@@ -220,7 +209,7 @@ def run_convergence_study(
     order = fit_log_slope(epsilons[fittable], sup_errors[fittable]) if fittable.sum() >= 2 else np.nan
     # at eps = 0 the rescaled run is the K-S run, so its gap is exactly 0 and stays 0
     per_eps = np.where(epsilons > 0, epsilons, np.inf)
-    report = ConvergenceReport(
+    return ConvergenceReport(
         ell0=grid.period,
         t_end=float(t_end),
         epsilons=epsilons,
@@ -230,7 +219,6 @@ def run_convergence_study(
         zeta_sup_l2=np.asarray(zeta_sups) / per_eps,
         blowups=blowups,
     )
-    return ConvergenceStudy(report, ks_traj, trajectories)
 
 
 @dataclass
@@ -244,46 +232,50 @@ class EnergyTrace:
 
 
 def run_energy_monitor(
-    rescaled_trajectory: Trajectory,
-    ks_trajectory: Trajectory,
+    phi0: SpectralField,
+    t_end: float,
     epsilon: float,
+    dt: float,
+    output_stride: int = 10,
     order: int = 0,
 ) -> EnergyTrace:
     """Weighted energy of the remainder derivative zeta = D(psi - Phi)/eps.
 
-    In coefficients the three-term functional collapses to
-    sum_k lam_k^n (1 + 4 eps lam_k + (1+eps)(x_k - 1)) zeta_k^2.
-    Both trajectories must share times and grid; the remainder vanishes
-    identically at the start (same initial state), so values[0] == 0.
+    Runs K-S (keyed 0) and the slow-scale equation at epsilon from phi0, as
+    the convergence study does.  In coefficients the three-term functional
+    collapses to sum_k lam_k^n (1 + 4 eps lam_k + (1+eps)(x_k - 1)) zeta_k^2.
+    The remainder vanishes identically at the start (same initial state), so
+    values[0] == 0.
     """
     if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    grid = rescaled_trajectory.grid
-    if grid != ks_trajectory.grid:
-        raise ValueError("trajectories live on different grids")
-    n = min(len(rescaled_trajectory.times), len(ks_trajectory.times))
-    if not np.array_equal(rescaled_trajectory.times[:n], ks_trajectory.times[:n]):
-        raise ValueError("trajectories have mismatched snapshot times")
-    table = build_rescaled_symbols(epsilon, grid)
+        raise ValueError(f"order must be 0, 1 or 2, got {order}")
+    grid = phi0.grid
+    table = build_rescaled_symbols(epsilon, grid)  # rejects eps outside (0, 1] before any step
     lam = grid.eigenvalues
     weight = (
         lam**order
         * (1.0 + 4.0 * epsilon * lam + (1.0 + epsilon) * table.sqrt_shift)
         * slope_energy_weights(grid)  # one derivative factor for zeta itself
     )
-    diff = (rescaled_trajectory.coeffs[:n] - ks_trajectory.coeffs[:n]) / epsilon
+    configs = [
+        (0.0, SolverConfig(make_ks_equation(grid), phi0, dt, t_end, output_stride)),
+        (float(epsilon), SolverConfig(make_rescaled_equation(epsilon, grid), phi0, dt, t_end, output_stride)),
+    ]
+    blowups = []
+    ks_traj, traj = (run for _, run in _evolve_each(configs, blowups))
+    # a blown-up run cuts the trace at its last snapshot
+    n = min(len(traj.times), len(ks_traj.times))
+    diff = (traj.coeffs[:n] - ks_traj.coeffs[:n]) / epsilon
     values = diff**2 @ weight
     if values[0] != 0.0:
         raise ArithmeticError("remainder is not null at the initial time")
-    # a blown-up run cuts the trace at its last snapshot; the K-S run is listed as eps = 0
-    runs = ((0.0, ks_trajectory), (float(epsilon), rescaled_trajectory))
     return EnergyTrace(
-        times=rescaled_trajectory.times[:n].copy(),
+        times=traj.times[:n].copy(),
         values=values,
         order=order,
         epsilon=float(epsilon),
         observed_bound=float(np.max(values)),
-        blowups=[key for key, traj in runs if traj.blown_up],
+        blowups=blowups,
     )
 
 
@@ -301,8 +293,14 @@ class KsAprioriReport:
     blowups: list[float]       # [0.0] when the K-S run blew up, else empty
 
 
-def run_ks_apriori_check(trajectory: Trajectory) -> KsAprioriReport:
-    """Verify both growth bounds at every snapshot of a limit-equation run."""
+def run_ks_apriori_check(
+    phi0: SpectralField, t_end: float, dt: float, output_stride: int = 10
+) -> KsAprioriReport:
+    """Run K-S (keyed 0) from phi0 and verify both growth bounds at every snapshot."""
+    blowups = []
+    [(_, trajectory)] = _evolve_each(
+        [(0.0, SolverConfig(make_ks_equation(phi0.grid), phi0, dt, t_end, output_stride))], blowups
+    )
     times = trajectory.times
     slope = np.sqrt(trajectory.diagnostics["slope_sq_mean"])
     slope_bound = np.exp(13.0 * times / 6.0) * slope[0]
@@ -318,7 +316,7 @@ def run_ks_apriori_check(trajectory: Trajectory) -> KsAprioriReport:
         mean_bound_ok=bool(np.all(mean_abs <= mean_bound * (1 + 1e-12))),
         min_slope_margin=float(np.min(slope_bound - slope)),
         min_mean_margin=float(np.min(mean_bound - mean_abs)),
-        blowups=[0.0] if trajectory.blown_up else [],
+        blowups=blowups,
     )
 
 

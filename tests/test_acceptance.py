@@ -48,24 +48,17 @@ def criterion(number, description):
 # --- shared heavy runs ------------------------------------------------------
 
 SWEEP_EPSILONS = [0.08, 0.04, 0.02, 0.01]
+SWEEP_RUN = {"t_end": 1.0, "dt": 1e-3, "output_stride": 10}
 
 
-@pytest.fixture(scope="module")
-def sweep():
-    """Criterion-6 configuration: ell0 = 10 pi, Phi0 = 0.1 cos(2 pi eta/ell0), T = 1."""
-    ell0 = 10 * np.pi
-    grid = make_grid(ell0, 128)
-    phi0 = cosine_field(grid, 0.1, 1)
-    start = time.perf_counter()
-    study = run_convergence_study(
-        phi0, t_end=1.0, epsilons=SWEEP_EPSILONS, dt=1e-3, output_stride=10
-    )
-    return study, time.perf_counter() - start
+def sweep_field():
+    """Criterion-6 initial state: ell0 = 10 pi, N = 128, Phi0 = 0.1 cos(2 pi eta/ell0)."""
+    return cosine_field(make_grid(10 * np.pi, 128), 0.1, 1)
 
 
-@pytest.fixture(scope="module")
-def threshold_scan():
-    """The scan report, its wall time and its runs, recorded at the evolve seam."""
+@contextmanager
+def recorded_runs():
+    """The trajectories experiments.evolve returns inside the block, in call order."""
     runs = []
 
     def recording(config, _evolve=experiments.evolve):
@@ -74,6 +67,23 @@ def threshold_scan():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "evolve", recording)
+        yield runs
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """The criterion-6 report, its wall time and its five runs (K-S first), recorded at the evolve seam."""
+    with recorded_runs() as runs:
+        start = time.perf_counter()
+        report = run_convergence_study(sweep_field(), epsilons=SWEEP_EPSILONS, **SWEEP_RUN)
+        elapsed = time.perf_counter() - start
+    return report, elapsed, runs
+
+
+@pytest.fixture(scope="module")
+def threshold_scan():
+    """The scan report, its wall time and its runs, recorded at the evolve seam."""
+    with recorded_runs() as runs:
         start = time.perf_counter()
         report = run_stability_scan(
             ell=4 * np.pi,
@@ -185,33 +195,28 @@ def test_criterion_05_derivation_audit():
 
 
 def test_criterion_06_convergence_to_limit_equation(sweep):
-    study, elapsed = sweep
+    rep, elapsed, _ = sweep
     with criterion(6, "sup|psi_eps - Phi|/eps bounded with fitted order >= 0.9"):
-        rep = study.report
         assert rep.blowups == []
         assert np.max(rep.ratios) / np.min(rep.ratios) < 3.0
         assert rep.fitted_order >= 0.9
         assert elapsed < 300.0
 
 
-def test_criterion_07_remainder_energy(sweep):
-    study, _ = sweep
+def test_criterion_07_remainder_energy():
     with criterion(7, "remainder energy null at start, uniform across the sweep"):
         observed = []
         for eps in SWEEP_EPSILONS:
-            trace = run_energy_monitor(
-                study.rescaled_trajectories[eps], study.ks_trajectory, eps, order=0
-            )
+            trace = run_energy_monitor(sweep_field(), epsilon=eps, order=0, **SWEEP_RUN)
             assert trace.values[0] == 0.0
             assert np.all(np.isfinite(trace.values))
             observed.append(trace.observed_bound)
         assert max(observed) / min(observed) < 2.0
 
 
-def test_criterion_08_ks_apriori_bounds(sweep):
-    study, _ = sweep
+def test_criterion_08_ks_apriori_bounds():
     with criterion(8, "limit-equation slope and mean bounds at every snapshot"):
-        report = run_ks_apriori_check(study.ks_trajectory)
+        report = run_ks_apriori_check(sweep_field(), **SWEEP_RUN)
         assert report.slope_bound_ok
         assert report.mean_bound_ok
 
@@ -241,12 +246,10 @@ def test_criterion_09_galerkin_and_time_order():
 
 
 def test_criterion_10_mean_mode_law(sweep, threshold_scan):
-    study, _ = sweep
+    _, _, sweep_runs = sweep
     _, _, scan_runs = threshold_scan
     with criterion(10, "mean obeys p' = -1/2 mean((slope)^2) and never increases"):
-        trajectories = list(scan_runs)
-        trajectories += [study.rescaled_trajectories[eps] for eps in SWEEP_EPSILONS]
-        trajectories.append(study.ks_trajectory)
+        trajectories = [*scan_runs, *sweep_runs]
         assert len(trajectories) == 7
         for traj in trajectories:
             check = mean_mode_ode_check(traj)

@@ -524,7 +524,7 @@ def test_energy_rejects_bad_order_or_epsilon_before_evolving(flag, value, key, t
     assert rc == EXIT_CONFIG
     assert evolved == []
     (violation,) = json.loads(capsys.readouterr().err)["violations"]
-    assert violation.startswith(f"key '{key}'")
+    assert violation.startswith(f"{key} must")
     assert not (tmp_path / "en").exists()
 
 
@@ -740,6 +740,23 @@ def test_config_error_makes_no_directories(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not (tmp_path / "nest").exists()
+
+
+def test_reused_out_with_files_this_run_would_not_write_is_an_io_error(tmp_path, capsys):
+    # the alpha table would land beside the epsilon run's bounds.json
+    out = tmp_path / "sym"
+    argv = ["symbols", "--ell", "6.283185307179586", "--n-modes", "8", "--out", str(out)]
+    assert main([*argv, "--epsilon", "0.1"]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["bounds.json", "symbols.csv"]
+    capsys.readouterr()
+    assert main([*argv, "--alpha", "1.0"]) == EXIT_IO
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "io" and "bounds.json" in err["detail"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # rerunning the same command rewrites the same files
+    assert main([*argv, "--epsilon", "0.1"]) == EXIT_OK
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_unwritable_out_is_an_io_error(tmp_path, capsys):

@@ -343,6 +343,27 @@ def test_step_commutes_with_the_symmetries_of_the_equations(equation, symmetry, 
     assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(np.abs(stepped)), np.max(np.abs(want)))
 
 
+def _evolve_from(equation, coeffs):
+    grid = make_grid(SYMMETRY_PERIOD, coeffs.size)
+    descriptor = SYMMETRY_EQUATIONS[equation](grid)
+    traj = evolve(SolverConfig(descriptor, SpectralField(grid, coeffs), dt=0.01, t_end=1.0, output_stride=10))
+    assert not traj.blown_up
+    return traj.coeffs
+
+
+@pytest.mark.parametrize("symmetry", [_half_period_shift, _reflect, _add_to_mean], ids=lambda s: s.__name__.strip("_"))
+@pytest.mark.parametrize("n", [16, 17, 128, 129, 256, 257])
+@pytest.mark.parametrize("equation", sorted(SYMMETRY_EQUATIONS))
+def test_evolve_commutes_with_the_symmetries_of_the_equations(equation, n, symmetry):
+    # the whole run, snapshot by snapshot: a transformed start gives the transformed trajectory
+    u = random_zero_mean_field(make_grid(SYMMETRY_PERIOD, n), 1.0, seed=n).coeffs
+    u[0] = -0.4
+    plain = _evolve_from(equation, u)
+    want = np.array([symmetry(snapshot) for snapshot in plain])
+    got = _evolve_from(equation, symmetry(u))
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(np.abs(plain)), np.max(np.abs(got)))
+
+
 @pytest.mark.parametrize("n,ffts_per_step", [(128, 0), (129, 8)])
 def test_evolve_takes_ffts_only_above_the_matrix_size(n, ffts_per_step, monkeypatch):
     # up to MATRIX_MAX_MODES the nonlinear term is two matrix products; above

@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 import frontks.experiments
-from frontks.evolve import (
-    EquationDescriptor,
-    SolverConfig,
-    evolve,
-    make_front_equation,
-    make_ks_equation,
-)
+from frontks.evolve import EquationDescriptor, make_front_equation, make_ks_equation
 from frontks.experiments import (
     etdrk4_order_check,
     fit_log_slope,
@@ -71,6 +65,23 @@ def test_scan_reports_blowup_as_anomaly_not_crash():
     assert "nominally stable" in report.anomalies[0]
 
 
+def test_scan_does_not_change_when_its_initial_field_is_shifted_by_half_a_period(monkeypatch):
+    # f(y - L/2) flips the sign of every odd harmonic; the equation cannot tell the two apart
+    scan = dict(ell=4 * np.pi, alphas=[1.0, 1.3, 1.6, 1.9, 8.0, 9.0, 10.0, 12.0], amplitude=1e-4,
+                t_end=1.0, n_modes=64, dt=0.01, seed=3)
+    plain = run_stability_scan(**scan)
+
+    def shifted(grid, amplitude, seed, _field=frontks.experiments.random_zero_mean_field):
+        coeffs = _field(grid, amplitude, seed).coeffs
+        return SpectralField(grid, coeffs * (-1.0) ** ((np.arange(grid.n_modes) + 1) // 2))
+
+    monkeypatch.setattr(frontks.experiments, "random_zero_mean_field", shifted)
+    moved = run_stability_scan(**scan)
+    assert moved.verdicts == plain.verdicts == ["stable"] * 4 + ["unstable"] * 4
+    np.testing.assert_allclose(moved.measured_rates, plain.measured_rates, rtol=1e-12, atol=0)
+    assert moved.anomalies == plain.anomalies == []
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_scan_rejects_a_bad_alpha_before_evolving(bad, monkeypatch):
     # the configs are all built, and each alpha checked, before the first run
@@ -85,8 +96,7 @@ def test_convergence_study_small():
     ell0 = 10 * np.pi
     grid = make_grid(ell0, 64)
     phi0 = cosine_field(grid, 0.1, 1)
-    study = run_convergence_study(phi0, 0.5, [0.08, 0.04], dt=2e-3, output_stride=5)
-    rep = study.report
+    rep = run_convergence_study(phi0, 0.5, [0.08, 0.04], dt=2e-3, output_stride=5)
     assert rep.blowups == []
     assert np.all(rep.sup_errors > 0)
     assert rep.ratios[0] == pytest.approx(rep.ratios[1], rel=0.2)  # ~linear in eps
@@ -97,8 +107,8 @@ def test_convergence_zero_epsilon_is_exact_limit():
     ell0 = 10 * np.pi
     grid = make_grid(ell0, 32)
     phi0 = cosine_field(grid, 0.1, 1)
-    study = run_convergence_study(phi0, 0.2, [0.05, 0.0], dt=2e-3, output_stride=5)
-    assert study.report.sup_errors[1] == 0.0
+    report = run_convergence_study(phi0, 0.2, [0.05, 0.0], dt=2e-3, output_stride=5)
+    assert report.sup_errors[1] == 0.0
 
 
 def test_convergence_requires_decreasing_epsilons():
@@ -107,18 +117,29 @@ def test_convergence_requires_decreasing_epsilons():
         run_convergence_study(cosine_field(grid, 0.1, 1), 0.1, [0.01, 0.02], dt=1e-2)
 
 
-def _paired_run(eps, t_end=0.3, n=32, stride=5):
-    ell0 = 10 * np.pi
-    grid = make_grid(ell0, n)
-    phi0 = cosine_field(grid, 0.1, 1)
-    return run_convergence_study(phi0, t_end, [eps], dt=2e-3, output_stride=stride)
+def _recorded_runs(monkeypatch, edit=lambda config, traj: traj):
+    """The trajectories experiments.evolve returns from now on, each passed through edit."""
+    runs = []
+
+    def recording(config, _evolve=frontks.experiments.evolve):
+        runs.append(edit(config, _evolve(config)))
+        return runs[-1]
+
+    monkeypatch.setattr(frontks.experiments, "evolve", recording)
+    return runs
 
 
-def test_energy_identity_against_three_term_definition():
+def _energy(eps, order=0):
+    # a short paired run: K-S and the slow-scale equation from 0.1 cos on ell0 = 10 pi
+    phi0 = cosine_field(make_grid(10 * np.pi, 32), 0.1, 1)
+    return run_energy_monitor(phi0, 0.3, eps, dt=2e-3, output_stride=5, order=order)
+
+
+def test_energy_identity_against_three_term_definition(monkeypatch):
     eps = 0.05
-    study = _paired_run(eps)
-    psi, phi = study.rescaled_trajectories[eps], study.ks_trajectory
-    trace = run_energy_monitor(psi, phi, eps, order=0)
+    runs = _recorded_runs(monkeypatch)
+    trace = _energy(eps)
+    phi, psi = runs  # the K-S run first, then the slow-scale run
     assert trace.values[0] == 0.0
     table = build_rescaled_symbols(eps, psi.grid)
     i = len(trace.times) - 1
@@ -132,59 +153,34 @@ def test_energy_identity_against_three_term_definition():
     assert trace.values[i] == pytest.approx(three_terms, rel=1e-12, abs=1e-300)
 
 
-def test_energy_monitor_rejects_mismatched_trajectories():
-    study_a = _paired_run(0.05)
-    study_b = _paired_run(0.05, n=16)
-    with pytest.raises(ValueError):
-        run_energy_monitor(study_a.rescaled_trajectories[0.05], study_b.ks_trajectory, 0.05)
-    study_c = _paired_run(0.05, stride=7)
-    with pytest.raises(ValueError):
-        run_energy_monitor(study_a.rescaled_trajectories[0.05], study_c.ks_trajectory, 0.05)
-
-
-def test_energy_monitor_nonzero_initial_remainder_is_an_internal_error():
+def test_energy_monitor_nonzero_initial_remainder_is_an_internal_error(monkeypatch):
     # an invariant of the paired run, not a bad argument: not a ValueError
-    study = _paired_run(0.05)
-    psi = study.rescaled_trajectories[0.05]
-    shifted = replace(psi, coeffs=psi.coeffs + 1e-3)
+    def shift_the_eps_run(config, traj):
+        return replace(traj, coeffs=traj.coeffs + 1e-3) if config.descriptor.label != "ks" else traj
+
+    _recorded_runs(monkeypatch, shift_the_eps_run)
     with pytest.raises(ArithmeticError):
-        run_energy_monitor(shifted, study.ks_trajectory, 0.05)
+        _energy(0.05)
 
 
-def test_energy_monitor_rejects_bad_order():
-    study = _paired_run(0.05)
-    with pytest.raises(ValueError):
-        run_energy_monitor(study.rescaled_trajectories[0.05], study.ks_trajectory, 0.05, order=3)
+def test_energy_monitor_rejects_bad_order(monkeypatch):
+    runs = _recorded_runs(monkeypatch)
+    with pytest.raises(ValueError, match="order must be 0, 1 or 2, got 3"):
+        _energy(0.05, order=3)
+    assert runs == []
 
 
 def test_ks_apriori_zero_initial_data():
     grid = make_grid(10 * np.pi, 16)
-    traj = evolve(
-        SolverConfig(
-            descriptor=make_ks_equation(grid),
-            initial_condition=SpectralField(grid, np.zeros(16)),
-            dt=0.01,
-            t_end=0.1,
-            output_stride=1,
-        )
-    )
-    rep = run_ks_apriori_check(traj)
+    rep = run_ks_apriori_check(SpectralField(grid, np.zeros(16)), 0.1, 0.01, output_stride=1)
     assert rep.slope_bound_ok and rep.mean_bound_ok
     assert rep.min_slope_margin == 0.0  # equality: both sides vanish
+    assert rep.blowups == []
 
 
 def test_ks_apriori_short_run_has_margin():
     grid = make_grid(10 * np.pi, 64)
-    traj = evolve(
-        SolverConfig(
-            descriptor=make_ks_equation(grid),
-            initial_condition=cosine_field(grid, 0.1, 1),
-            dt=1e-3,
-            t_end=2.0,
-            output_stride=100,
-        )
-    )
-    rep = run_ks_apriori_check(traj)
+    rep = run_ks_apriori_check(cosine_field(grid, 0.1, 1), 2.0, 1e-3, output_stride=100)
     assert rep.slope_bound_ok and rep.mean_bound_ok
     assert rep.min_mean_margin > 0
 
