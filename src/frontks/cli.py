@@ -98,7 +98,6 @@ KEYS: dict[str, tuple[str, str]] = {
     "amplitude": ("float", "initial amplitude"),
     "seed": ("int", "seed for random initial data"),
     "harmonic": ("int", "cosine harmonic index"),
-    "phase": ("float", "cosine phase"),
     "order": ("int", "derivative order of the functional"),
     "k": ("int", "mode index (0 for the mean mode)"),
     "phi": ("float", "front coefficient"),
@@ -210,7 +209,7 @@ def _initial_field(cfg) -> SpectralField:
     grid = make_grid(cfg["ell"] if "ell" in cfg else cfg["ell0"], cfg["n_modes"])
     ic = cfg.get("ic", "cosine")
     if ic == "cosine":
-        return cosine_field(grid, cfg["amplitude"], cfg["harmonic"], cfg.get("phase", 0.0))
+        return cosine_field(grid, cfg["amplitude"], cfg["harmonic"])
     if ic == "random":
         return random_zero_mean_field(grid, cfg["amplitude"], cfg["seed"])
     raise ConfigError([f"key 'ic': expected 'random' or 'cosine', got '{ic}'"])
@@ -231,6 +230,8 @@ def _equation(name: str, cfg: dict):
     key, make = _EQUATIONS[name]
     if key is not None and cfg[key] is None:
         raise ConfigError([f"key '{key}' is required when equation={name}"])
+    if unused := [k for k in ("alpha", "epsilon") if k != key and cfg.get(k) is not None]:
+        raise ConfigError([f"key '{k}' is not a parameter of equation={name}" for k in unused])
     return lambda grid: make(cfg[key] if key else None, grid)
 
 
@@ -259,11 +260,13 @@ def _cmd_symbols(cfg) -> tuple[int, dict]:
 
 def _cmd_evolve(equation, cfg) -> tuple[int, dict]:
     phi0 = _initial_field(cfg)
+    # the config as run: a defaulted step is recorded as the step taken
+    cfg = {**cfg, "dt": cfg["dt"] if cfg["dt"] is not None else default_dt(phi0.grid, cfg["t_end"])}
     traj = evolve(
         SolverConfig(
             descriptor=_equation(equation, cfg)(phi0.grid),
             initial_condition=phi0,
-            dt=cfg["dt"] if cfg["dt"] is not None else default_dt(phi0.grid, cfg["t_end"]),
+            dt=cfg["dt"],
             t_end=cfg["t_end"],
             output_stride=cfg["output_stride"],
         )
@@ -376,8 +379,7 @@ class Study:
 
 
 _EVOLVE_DEFAULTS = {
-    "dt": None, "output_stride": 1, "ic": "random", "amplitude": 1e-3,
-    "seed": 0, "harmonic": 1, "phase": 0.0,
+    "dt": None, "output_stride": 1, "ic": "random", "amplitude": 1e-3, "seed": 0, "harmonic": 1,
 }
 
 
@@ -435,7 +437,7 @@ STUDIES: dict[str, Study] = {
     ),
     "ks-apriori": Study(
         ("ell0", "n_modes", "t_end", "dt"),
-        {"ic": "cosine", "amplitude": 0.1, "seed": 0, "harmonic": 1, "phase": 0.0, "output_stride": 10},
+        {"amplitude": 0.1, "harmonic": 1, "output_stride": 10},
         lambda cfg: xp.run_ks_apriori_check(_initial_field(cfg), cfg["t_end"], cfg["dt"], cfg["output_stride"]),
         "apriori.csv",
         {

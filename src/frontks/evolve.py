@@ -130,8 +130,7 @@ class Etdrk4:
         for row, on_circle in zip(phi, _phi(zu[lo:hi, None] + _CONTOUR)):
             row[lo:hi] = on_circle.mean(1).real
         for far in (slice(None, lo), slice(hi, None)):
-            if zu[far].size:
-                phi[:, far] = _phi(zu[far])
+            phi[:, far] = _phi(zu[far])
         self.coeff_q, self.coeff_f1, self.coeff_f2, self.coeff_f3 = dt * phi[:, inv]
         self._two_f2 = 2.0 * self.coeff_f2
         grid = descriptor.grid

@@ -83,7 +83,6 @@ def measured_growth_rate(trajectory: Trajectory) -> float:
 
 @dataclass
 class StabilityScanReport:
-    ell: float
     alpha_c: float
     alphas: np.ndarray
     measured_rates: np.ndarray
@@ -137,7 +136,6 @@ def run_stability_scan(
         # saturates before t_end and the late-time rate fit goes flat
         verdicts.append("unstable" if grew else "stable")
     return StabilityScanReport(
-        ell=float(ell),
         alpha_c=a_c,
         alphas=alphas,
         measured_rates=np.asarray(measured),
@@ -150,8 +148,6 @@ def run_stability_scan(
 
 @dataclass
 class ConvergenceReport:
-    ell0: float
-    t_end: float
     epsilons: np.ndarray
     sup_errors: np.ndarray   # sup over snapshots and collocation points of |psi_eps - Phi|, nan on blowup
     ratios: np.ndarray       # sup_errors / eps
@@ -210,8 +206,6 @@ def run_convergence_study(
     # at eps = 0 the rescaled run is the K-S run, so its gap is exactly 0 and stays 0
     per_eps = np.where(epsilons > 0, epsilons, np.inf)
     return ConvergenceReport(
-        ell0=grid.period,
-        t_end=float(t_end),
         epsilons=epsilons,
         sup_errors=sup_errors,
         ratios=sup_errors / per_eps,
@@ -225,8 +219,6 @@ def run_convergence_study(
 class EnergyTrace:
     times: np.ndarray
     values: np.ndarray  # the weighted remainder energy at each snapshot
-    order: int          # derivative order n of the functional
-    epsilon: float
     observed_bound: float  # running max, the empirical uniform bound
     blowups: list[float]   # the runs that blew up: epsilon, or 0 for the K-S run
 
@@ -272,8 +264,6 @@ def run_energy_monitor(
     return EnergyTrace(
         times=traj.times[:n].copy(),
         values=values,
-        order=order,
-        epsilon=float(epsilon),
         observed_bound=float(np.max(values)),
         blowups=blowups,
     )

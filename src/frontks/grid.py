@@ -246,16 +246,10 @@ def random_zero_mean_field(grid: SpectralGrid, amplitude: float, seed: int) -> S
     return SpectralField(grid, coeffs)
 
 
-def cosine_field(
-    grid: SpectralGrid, amplitude: float, harmonic: int = 1, phase: float = 0.0
-) -> SpectralField:
-    """amplitude * cos(2 pi j y / L + phase), built directly in coefficients."""
+def cosine_field(grid: SpectralGrid, amplitude: float, harmonic: int = 1) -> SpectralField:
+    """amplitude * cos(2 pi j y / L), built directly in coefficients."""
     if not 1 <= harmonic <= grid.max_harmonic:
         raise ValueError(f"harmonic {harmonic} not representable on this grid")
     coeffs = np.zeros(grid.n_modes)
-    coeffs[2 * harmonic - 1] = amplitude * np.cos(phase) / _SQRT2
-    if 2 * harmonic <= grid.n_modes - 1:
-        coeffs[2 * harmonic] = -amplitude * np.sin(phase) / _SQRT2
-    elif phase != 0.0:
-        raise ValueError("sin partner of the top harmonic is truncated on this grid")
+    coeffs[2 * harmonic - 1] = amplitude / _SQRT2
     return SpectralField(grid, coeffs)

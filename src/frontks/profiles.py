@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import front_mode_symbols
+from .symbols import _unrescaled_arrays
 
 __all__ = [
     "FrontModeData",
@@ -68,7 +68,7 @@ class FrontModeData:
 
 def front_time_derivative(alpha: float, lam: float, phi: float, phiy_sq: float) -> float:
     """phi_t selected by the front evolution law: growth*phi + gain*phiy_sq."""
-    _, _, _, _, growth, gain = front_mode_symbols(alpha, lam)
+    _, _, _, _, growth, gain = _unrescaled_arrays(alpha, float(lam))
     return growth * phi + gain * phiy_sq
 
 

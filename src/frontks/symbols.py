@@ -34,7 +34,6 @@ __all__ = [
     "build_rescaled_symbols",
     "alpha_critical",
     "verify_symbol_bounds",
-    "front_mode_symbols",
 ]
 
 
@@ -67,7 +66,10 @@ class RescaledSymbolTable:
     quad_correction: np.ndarray  # m = (f + 1/2)/eps, |m| <= 2 sqrt(eps) lam^(3/2) + 25 lam
 
 
-def _unrescaled_arrays(alpha: float, lam: np.ndarray):
+def _unrescaled_arrays(alpha: float, lam):
+    """(x, b, s, f, l, g) at eigenvalue lam, a float or an array."""
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     x = np.sqrt(1.0 + 4.0 * lam)
     # b = x^2 + a x - a written so the lam = 0 mode gives exactly 1
     b = x * x + alpha * (x - 1.0)
@@ -79,18 +81,8 @@ def _unrescaled_arrays(alpha: float, lam: np.ndarray):
 
 def build_symbols(alpha: float, grid: SpectralGrid) -> SymbolTable:
     """Evaluate all unrescaled multipliers on the grid's eigenvalues."""
-    if not 0 < alpha < np.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     x, b, s, f, l, g = _unrescaled_arrays(alpha, grid.eigenvalues)
     return SymbolTable(float(alpha), grid, x, b, s, f, l, g)
-
-
-def front_mode_symbols(alpha: float, lam: float):
-    """Single-mode (x, b, s, f, l, g) for scalar eigenvalue lam."""
-    if not 0 < alpha < np.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    vals = _unrescaled_arrays(alpha, np.asarray([lam], dtype=float))
-    return tuple(float(v[0]) for v in vals)
 
 
 def alpha_critical(ell: float) -> float:
@@ -147,9 +139,9 @@ def verify_symbol_bounds(table: RescaledSymbolTable) -> SymbolBoundsReport:
     eps = table.epsilon
     lam = table.grid.eigenvalues
     pos = lam > 0
-    h_ratio = float(np.max(np.abs(table.mass_correction[pos]) / lam[pos])) if pos.any() else 0.0
+    h_ratio = float(np.max(np.abs(table.mass_correction[pos]) / lam[pos]))
     m_env = 2.0 * np.sqrt(eps) * lam[pos] ** 1.5 + 25.0 * lam[pos]
-    m_ratio = float(np.max(np.abs(table.quad_correction[pos]) / m_env)) if pos.any() else 0.0
+    m_ratio = float(np.max(np.abs(table.quad_correction[pos]) / m_env))
     slack = float(np.min(table.mass - 4.0 * eps * lam - 1.0))
     rmin = float(np.min(table.sqrt_shift))
     return SymbolBoundsReport(

@@ -26,7 +26,7 @@ from frontks.cli import (
     resolve_config,
     write_csv,
 )
-from frontks.evolve import Etdrk4
+from frontks.evolve import Etdrk4, default_dt
 from frontks.grid import make_grid
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -657,6 +657,25 @@ def test_galerkin_cli_front_requires_alpha(tmp_path, capsys):
     assert any("alpha" in v for v in err["violations"])
 
 
+@pytest.mark.parametrize("equation,extra,unused", [
+    ("ks", ["--alpha", "3"], ["alpha"]),
+    ("ks", ["--alpha", "3", "--epsilon", "0.1"], ["alpha", "epsilon"]),
+    ("front", ["--alpha", "3", "--epsilon", "0.1"], ["epsilon"]),
+    ("rescaled", ["--epsilon", "0.1", "--alpha", "3"], ["alpha"]),
+])
+def test_galerkin_cli_rejects_a_parameter_its_equation_does_not_take(equation, extra, unused, tmp_path, capsys):
+    out = tmp_path / "gal"
+    rc = main([
+        "galerkin", "--ell", "31.4", "--n-list", "16,32", "--t-end", "0.1", "--dt", "0.01",
+        "--equation", equation, *extra, "--out", str(out),
+    ])
+    assert rc == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["violations"] == [
+        f"key '{key}' is not a parameter of equation={equation}" for key in unused
+    ]
+    assert not out.exists()
+
+
 def test_default_output_dir_uses_env(tmp_path, monkeypatch):
     monkeypatch.setenv("FRONTKS_OUTDIR", str(tmp_path / "base"))
     rc = main(["symbols", "--ell", "6.28", "--n-modes", "4", "--alpha", "1.0"])
@@ -780,9 +799,18 @@ def test_default_dt_reaches_t_end_in_whole_steps(tmp_path):
     assert len(summary["times"]) == 1 + math.ceil(1.0 / (1e-3 * (10.0 / (2 * math.pi)) ** 2))
 
 
+def test_summary_records_the_default_step(tmp_path):
+    rc = main(["evolve-ks", "--ell0", "31.4", "--n-modes", "16", "--t-end", "0.1", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    dt = default_dt(make_grid(31.4, 16), 0.1)
+    assert dt == pytest.approx(0.02, rel=1e-12)
+    assert summary["config"]["dt"] == dt
+    assert summary["times"][1] == pytest.approx(dt, rel=1e-12)
+
+
 _EVOLVE_DEFAULTS = {
-    "dt": None, "output_stride": 1, "ic": "random", "amplitude": 0.001,
-    "seed": 0, "harmonic": 1, "phase": 0.0,
+    "dt": None, "output_stride": 1, "ic": "random", "amplitude": 0.001, "seed": 0, "harmonic": 1,
 }
 
 # subcommand -> (required keys in reporting order, defaults of the optional keys)
@@ -809,7 +837,7 @@ CONFIG_SURFACE = {
     ),
     "ks-apriori": (
         ["ell0", "n_modes", "t_end", "dt"],
-        {"ic": "cosine", "amplitude": 0.1, "seed": 0, "harmonic": 1, "phase": 0.0, "output_stride": 10},
+        {"amplitude": 0.1, "harmonic": 1, "output_stride": 10},
     ),
     "galerkin": (
         ["ell", "n_list", "t_end", "dt"],

@@ -292,8 +292,8 @@ def test_derivative_against_per_mode_oracle(n, order, seed):
 def test_cosine_field_matches_pointwise():
     grid = make_grid(9.0, 16)
     y = collocation_points(grid)
-    f = cosine_field(grid, 0.7, harmonic=3, phase=0.4)
-    assert np.max(np.abs(inverse_transform(f) - 0.7 * np.cos(2 * np.pi * 3 * y / 9.0 + 0.4))) < 1e-14
+    f = cosine_field(grid, 0.7, harmonic=3)
+    assert np.max(np.abs(inverse_transform(f) - 0.7 * np.cos(2 * np.pi * 3 * y / 9.0))) < 1e-14
     with pytest.raises(ValueError):
         cosine_field(grid, 1.0, harmonic=grid.max_harmonic + 1)
 

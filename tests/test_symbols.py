@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontks.grid import make_grid
+from frontks.profiles import front_time_derivative
 from frontks.symbols import (
     alpha_critical,
     build_rescaled_symbols,
     build_symbols,
-    front_mode_symbols,
     verify_symbol_bounds,
 )
 
@@ -49,7 +49,11 @@ def _mp_rescaled(eps, lam):
 
 def test_mode_values_against_extended_precision_oracle():
     mp.mp.dps = 50
-    got = front_mode_symbols(1.0, 1.0)
+    # lam_1 = 1 exactly on a 2 pi period
+    table = build_symbols(1.0, make_grid(TWO_PI, 3))
+    fields = ("sqrt_factor", "mass", "stiffness", "quad_filter", "growth_rate", "quad_gain")
+    assert table.grid.eigenvalues[1] == 1.0
+    got = [getattr(table, field)[1] for field in fields]
     names = ("x", "b", "s", "f", "l", "g")
     for name, value, reference in zip(names, got, _mp_unrescaled(1, 1), strict=True):
         assert value == pytest.approx(ORACLE_A1_L1[name], rel=1e-15, abs=1e-15)
@@ -132,7 +136,7 @@ def test_invalid_alpha(alpha):
     with pytest.raises(ValueError):
         build_symbols(alpha, make_grid(TWO_PI, 8))
     with pytest.raises(ValueError):
-        front_mode_symbols(alpha, 1.0)
+        front_time_derivative(alpha, 1.0, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -0.5, 1.5])
