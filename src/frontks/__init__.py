@@ -32,7 +32,6 @@ from .evolve import (
     Etdrk4,
     SolverConfig,
     Trajectory,
-    default_dt,
     evolve,
     make_front_equation,
     make_ks_equation,

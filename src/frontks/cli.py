@@ -28,7 +28,6 @@ import numpy as np
 from . import experiments as xp
 from .evolve import (
     SolverConfig,
-    default_dt,
     evolve,
     make_front_equation,
     make_ks_equation,
@@ -92,13 +91,12 @@ KEYS: dict[str, tuple[str, str]] = {
     "epsilon": ("float", "slow-scale parameter"),
     "epsilons": ("floats", "decreasing slow-scale parameters"),
     "t_end": ("float", "final time"),
-    "dt": ("float", "time step; None in evolve-*: scaled with the squared period"),
+    "dt": ("float", "time step"),
     "output_stride": ("int", "snapshot every this many steps"),
     "ic": ("str", "initial condition: random | cosine"),
     "amplitude": ("float", "initial amplitude"),
     "seed": ("int", "seed for random initial data"),
     "harmonic": ("int", "cosine harmonic index"),
-    "order": ("int", "derivative order of the functional"),
     "k": ("int", "mode index (0 for the mean mode)"),
     "phi": ("float", "front coefficient"),
     "phiy_sq": ("float", "squared-slope coefficient"),
@@ -260,8 +258,6 @@ def _cmd_symbols(cfg) -> tuple[int, dict]:
 
 def _cmd_evolve(equation, cfg) -> tuple[int, dict]:
     phi0 = _initial_field(cfg)
-    # the config as run: a defaulted step is recorded as the step taken
-    cfg = {**cfg, "dt": cfg["dt"] if cfg["dt"] is not None else default_dt(phi0.grid, cfg["t_end"])}
     traj = evolve(
         SolverConfig(
             descriptor=_equation(equation, cfg)(phi0.grid),
@@ -379,24 +375,24 @@ class Study:
 
 
 _EVOLVE_DEFAULTS = {
-    "dt": None, "output_stride": 1, "ic": "random", "amplitude": 1e-3, "seed": 0, "harmonic": 1,
+    "output_stride": 1, "ic": "random", "amplitude": 1e-3, "seed": 0, "harmonic": 1,
 }
 
 
 STUDIES: dict[str, Study] = {
     "symbols": Study(("ell", "n_modes"), {"alpha": None, "epsilon": None}, _cmd_symbols),
     "evolve-front": Study(
-        ("ell", "alpha", "n_modes", "t_end"),
+        ("ell", "alpha", "n_modes", "t_end", "dt"),
         _EVOLVE_DEFAULTS,
         lambda cfg: _cmd_evolve("front", cfg),
     ),
     "evolve-ks": Study(
-        ("ell0", "n_modes", "t_end"),
+        ("ell0", "n_modes", "t_end", "dt"),
         _EVOLVE_DEFAULTS,
         lambda cfg: _cmd_evolve("ks", cfg),
     ),
     "evolve-rescaled": Study(
-        ("ell0", "epsilon", "n_modes", "t_end"),
+        ("ell0", "epsilon", "n_modes", "t_end", "dt"),
         _EVOLVE_DEFAULTS,
         lambda cfg: _cmd_evolve("rescaled", cfg),
     ),
@@ -421,16 +417,16 @@ STUDIES: dict[str, Study] = {
         ("ell0", "n_modes", "t_end", "epsilons", "dt"),
         {"amplitude": 0.1, "harmonic": 1, "output_stride": 10},
         lambda cfg: xp.run_convergence_study(
-            _initial_field(cfg), cfg["t_end"], sorted(cfg["epsilons"], reverse=True), cfg["dt"], cfg["output_stride"]
+            _initial_field(cfg), cfg["t_end"], cfg["epsilons"], cfg["dt"], cfg["output_stride"]
         ),
         "convergence.csv",
         {"epsilon": "epsilons", "sup_error": "sup_errors", "ratio": "ratios", "zeta_sup_l2": "zeta_sup_l2"},
     ),
     "energy": Study(
         ("ell0", "n_modes", "epsilon", "t_end", "dt"),
-        {"order": 0, "amplitude": 0.1, "harmonic": 1, "output_stride": 10},
+        {"amplitude": 0.1, "harmonic": 1, "output_stride": 10},
         lambda cfg: xp.run_energy_monitor(
-            _initial_field(cfg), cfg["t_end"], cfg["epsilon"], cfg["dt"], cfg["output_stride"], cfg["order"]
+            _initial_field(cfg), cfg["t_end"], cfg["epsilon"], cfg["dt"], cfg["output_stride"]
         ),
         "energy.csv",
         {"tau": "times", "energy": "values"},

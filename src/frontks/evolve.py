@@ -18,7 +18,7 @@ contour average has an error of its own, up to 6.5e-13 relative near
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "make_rescaled_equation",
     "Etdrk4",
     "evolve",
-    "default_dt",
     "mean_mode_ode_check",
     "MeanModeCheck",
     "BLOWUP_NORM",
@@ -97,9 +96,7 @@ def make_ks_equation(grid: SpectralGrid) -> EquationDescriptor:
 
 
 def make_rescaled_equation(epsilon: float, grid: SpectralGrid) -> EquationDescriptor:
-    """Slow-scale equation on a period-L0 grid; eps = 0 returns the exact limit."""
-    if epsilon == 0:
-        return replace(make_ks_equation(grid), label="rescaled(eps=0)")
+    """Slow-scale equation on a period-L0 grid, eps in (0, 1]; make_ks_equation is its limit."""
     table = build_rescaled_symbols(epsilon, grid)
     return EquationDescriptor(
         grid,
@@ -186,24 +183,6 @@ class Etdrk4:
         return out
 
 
-def _whole_steps(t_end: float, dt: float) -> bool:
-    """Whether t_end is a whole number of dt steps, up to round-off."""
-    steps = t_end / dt
-    return abs(steps - round(steps)) <= 1e-9 * steps
-
-
-def default_dt(grid: SpectralGrid, t_end: float) -> float:
-    """Default step 1e-3 (L/2pi)^2, scaled with the squared period.
-
-    When it does not divide a positive finite t_end, the step is shortened
-    to t_end / ceil(t_end / step), so that whole steps reach t_end.
-    """
-    dt = 1e-3 * (grid.period / (2.0 * np.pi)) ** 2
-    if not 0 < t_end / dt < np.inf or _whole_steps(t_end, dt):
-        return dt
-    return t_end / math.ceil(t_end / dt)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     descriptor: EquationDescriptor
@@ -215,15 +194,16 @@ class SolverConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not 1 <= self.t_end / self.dt < np.inf:
+        steps = self.t_end / self.dt
+        if not 1 <= steps < np.inf:
             raise ValueError(
                 f"t_end must be a finite number of steps, at least one, got t_end = {self.t_end:g} "
                 f"with dt = {self.dt:g}"
             )
-        if not _whole_steps(self.t_end, self.dt):
+        if abs(steps - round(steps)) > 1e-9 * steps:  # round-off in t_end / dt is no partial step
             raise ValueError(
                 f"t_end = {self.t_end:g} is not a whole number of dt = {self.dt:g} steps; "
-                f"the nearest reachable horizon is {round(self.t_end / self.dt) * self.dt:.12g}"
+                f"the nearest reachable horizon is {round(steps) * self.dt:.12g}"
             )
         if self.output_stride < 1:
             raise ValueError("output_stride must be a positive integer")

@@ -172,24 +172,18 @@ def run_convergence_study(
     epsilons = np.asarray(list(epsilons), dtype=float)
     if np.any(np.diff(epsilons) >= 0):
         raise ValueError("epsilons must be strictly decreasing")
-    # checked before any run; eps = 0 is the exact limit (make_rescaled_equation)
-    outside = epsilons[~((epsilons >= 0) & (epsilons <= 1))]
-    if outside.size:
-        raise ValueError(f"epsilons must lie in [0, 1], got {', '.join(f'{e:g}' for e in outside)}")
     grid = phi0.grid
-    # the K-S run first, keyed 0 (the exact limit), then one run per eps > 0
+    # the K-S run first, keyed 0 (the limit), then one run per eps, each
+    # checked by make_rescaled_equation before any run
     configs = [(0.0, SolverConfig(make_ks_equation(grid), phi0, dt, t_end, output_stride))]
     configs += [
         (float(eps), SolverConfig(make_rescaled_equation(eps, grid), phi0, dt, t_end, output_stride))
         for eps in epsilons
-        if eps > 0
     ]
     slope_w = slope_energy_weights(grid)
     sup_errors, zeta_sups, blowups = [], [], []
-    # keyed like blowups, so the eps = 0 row reads the K-S run, runs[0.0]
-    runs = dict(_evolve_each(configs, blowups))
-    ks_traj = runs[0.0]
-    for traj in (runs[float(eps)] for eps in epsilons):
+    ks_traj, *trajs = (traj for _, traj in _evolve_each(configs, blowups))
+    for traj in trajs:
         if traj.blown_up or ks_traj.blown_up:
             # a run cut short has no gap to measure; its snapshots stop early
             sup_errors.append(np.nan)
@@ -200,17 +194,14 @@ def run_convergence_study(
         sup_errors.append(float(np.max(np.abs(values))))
         zeta_sups.append(float(np.max(np.sqrt(diff**2 @ slope_w))))
     sup_errors = np.asarray(sup_errors)
-    # the log-log fit only makes sense off the exact eps = 0 limit (nan rows fail > 0)
-    fittable = (epsilons > 0) & (sup_errors > 0)
+    fittable = sup_errors > 0  # nan rows fail it
     order = fit_log_slope(epsilons[fittable], sup_errors[fittable]) if fittable.sum() >= 2 else np.nan
-    # at eps = 0 the rescaled run is the K-S run, so its gap is exactly 0 and stays 0
-    per_eps = np.where(epsilons > 0, epsilons, np.inf)
     return ConvergenceReport(
         epsilons=epsilons,
         sup_errors=sup_errors,
-        ratios=sup_errors / per_eps,
+        ratios=sup_errors / epsilons,
         fitted_order=order,
-        zeta_sup_l2=np.asarray(zeta_sups) / per_eps,
+        zeta_sup_l2=np.asarray(zeta_sups) / epsilons,
         blowups=blowups,
     )
 
@@ -229,24 +220,20 @@ def run_energy_monitor(
     epsilon: float,
     dt: float,
     output_stride: int = 10,
-    order: int = 0,
 ) -> EnergyTrace:
     """Weighted energy of the remainder derivative zeta = D(psi - Phi)/eps.
 
     Runs K-S (keyed 0) and the slow-scale equation at epsilon from phi0, as
     the convergence study does.  In coefficients the three-term functional
-    collapses to sum_k lam_k^n (1 + 4 eps lam_k + (1+eps)(x_k - 1)) zeta_k^2.
+    collapses to sum_k (1 + 4 eps lam_k + (1+eps)(x_k - 1)) zeta_k^2.
     The remainder vanishes identically at the start (same initial state), so
     values[0] == 0.
     """
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
     grid = phi0.grid
     table = build_rescaled_symbols(epsilon, grid)  # rejects eps outside (0, 1] before any step
     lam = grid.eigenvalues
     weight = (
-        lam**order
-        * (1.0 + 4.0 * epsilon * lam + (1.0 + epsilon) * table.sqrt_shift)
+        (1.0 + 4.0 * epsilon * lam + (1.0 + epsilon) * table.sqrt_shift)
         * slope_energy_weights(grid)  # one derivative factor for zeta itself
     )
     configs = [
@@ -334,6 +321,8 @@ def run_galerkin_refinement(
     truncation, which is exactly the nested-projection construction).
     """
     n_list = list(n_list)
+    if len(n_list) < 2:
+        raise ValueError(f"n_list must hold at least two truncations to compare, got {n_list}")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     configs = []

@@ -207,7 +207,7 @@ def test_criterion_07_remainder_energy():
     with criterion(7, "remainder energy null at start, uniform across the sweep"):
         observed = []
         for eps in SWEEP_EPSILONS:
-            trace = run_energy_monitor(sweep_field(), epsilon=eps, order=0, **SWEEP_RUN)
+            trace = run_energy_monitor(sweep_field(), epsilon=eps, **SWEEP_RUN)
             assert trace.values[0] == 0.0
             assert np.all(np.isfinite(trace.values))
             observed.append(trace.observed_bound)

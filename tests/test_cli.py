@@ -26,8 +26,7 @@ from frontks.cli import (
     resolve_config,
     write_csv,
 )
-from frontks.evolve import Etdrk4, default_dt
-from frontks.grid import make_grid
+from frontks.evolve import Etdrk4
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -493,7 +492,7 @@ def test_convergence_rejects_epsilons_outside_unit_interval_before_evolving(
     assert rc == EXIT_CONFIG
     assert evolved == []
     (violation,) = json.loads(capsys.readouterr().err)["violations"]
-    assert violation.startswith("epsilons must lie in [0, 1]")
+    assert violation.startswith("epsilon must lie in (0, 1]")
 
 
 def test_energy_cli(tmp_path):
@@ -510,7 +509,7 @@ def test_energy_cli(tmp_path):
 
 
 @pytest.mark.parametrize("flag,value,key", [
-    ("--order", "3", "order"), ("--epsilon", "0", "epsilon"), ("--epsilon", "1.5", "epsilon"),
+    ("--epsilon", "0", "epsilon"), ("--epsilon", "1.5", "epsilon"),
 ])
 def test_energy_rejects_bad_order_or_epsilon_before_evolving(flag, value, key, tmp_path, monkeypatch, capsys):
     evolved = []
@@ -528,6 +527,34 @@ def test_energy_rejects_bad_order_or_epsilon_before_evolving(flag, value, key, t
     assert not (tmp_path / "en").exists()
 
 
+# a short slow-frame run on ell0 = 10 pi
+SLOW_RUN = ["--ell0", "31.41592653589793", "--n-modes", "16", "--t-end", "0.1", "--dt", "0.01"]
+EPSILON_ZERO = "epsilon must lie in (0, 1], got 0.0"
+
+
+@pytest.mark.parametrize("argv,violation", [
+    (["evolve-rescaled", *SLOW_RUN, "--epsilon", "0"], EPSILON_ZERO),
+    (["galerkin", "--ell", "31.41592653589793", "--n-list", "16,32", "--t-end", "0.1", "--dt", "0.01",
+      "--equation", "rescaled", "--epsilon", "0"], EPSILON_ZERO),
+    (["convergence", *SLOW_RUN, "--epsilons", "0.1,0"], EPSILON_ZERO),
+    (["energy", *SLOW_RUN, "--epsilon", "0"], EPSILON_ZERO),
+    (["symbols", "--ell", "31.41592653589793", "--n-modes", "16", "--epsilon", "0"], EPSILON_ZERO),
+    (["convergence", *SLOW_RUN, "--epsilons", "0.01,0.02"], "epsilons must be strictly decreasing"),
+], ids=["evolve-rescaled", "galerkin", "convergence", "energy", "symbols", "convergence-increasing"])
+def test_every_epsilon_study_takes_epsilon_in_the_unit_interval_alone(
+    argv, violation, tmp_path, monkeypatch, capsys
+):
+    # eps = 0 is the K-S equation, which evolve-ks and equation = ks run
+    evolved = []
+    for module in (frontks.cli, frontks.experiments):
+        monkeypatch.setattr(module, "evolve", lambda config: evolved.append(config))
+    rc = main([*argv, "--out", str(tmp_path / "run")])
+    assert rc == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["violations"] == [violation]
+    assert evolved == []
+    assert not (tmp_path / "run").exists()
+
+
 def test_energy_blowup_exit_code(tmp_path):
     out = tmp_path / "en"
     rc = main(["energy", *BLOWUP_ARGS, "--epsilon", "0.1", "--out", str(out)])
@@ -540,23 +567,6 @@ def test_ks_run_blowup_alone_is_listed_as_eps_zero(subcommand, flag, tmp_path):
     out = tmp_path / subcommand
     rc = main([subcommand, *KS_ONLY_BLOWUP_ARGS, flag, "1", "--out", str(out)])
     assert rc == EXIT_BLOWUP
-    assert json.loads((out / "report.json").read_text())["blowups"] == [0.0]
-
-
-def test_convergence_zero_epsilon_reuses_the_ks_run(tmp_path, monkeypatch):
-    # the eps = 0 row is the K-S equation: one K-S run, listed once when it blows up
-    evolved = []
-    original = frontks.experiments.evolve
-
-    def counted(config):
-        evolved.append(config)
-        return original(config)
-
-    monkeypatch.setattr(frontks.experiments, "evolve", counted)
-    out = tmp_path / "conv"
-    rc = main(["convergence", *KS_ONLY_BLOWUP_ARGS, "--epsilons", "1,0", "--out", str(out)])
-    assert rc == EXIT_BLOWUP
-    assert len(evolved) == 2
     assert json.loads((out / "report.json").read_text())["blowups"] == [0.0]
 
 
@@ -645,6 +655,22 @@ def test_galerkin_cli(tmp_path):
     assert rc == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert len(report["final_diffs"]) == 1
+
+
+def test_galerkin_cli_with_one_truncation_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # one truncation has no neighbour, so no gap would be measured
+    evolved = []
+    monkeypatch.setattr(frontks.experiments, "evolve", lambda config: evolved.append(config))
+    rc = main([
+        "galerkin", "--ell", "80", "--n-list", "32", "--t-end", "0.1", "--dt", "0.01",
+        "--out", str(tmp_path / "gal"),
+    ])
+    assert rc == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["violations"] == [
+        "n_list must hold at least two truncations to compare, got [32]"
+    ]
+    assert evolved == []
+    assert not (tmp_path / "gal").exists()
 
 
 def test_galerkin_cli_front_requires_alpha(tmp_path, capsys):
@@ -787,38 +813,16 @@ def test_unwritable_out_is_an_io_error(tmp_path, capsys):
     assert taken.read_text() == "not a directory\n"
 
 
-def test_default_dt_reaches_t_end_in_whole_steps(tmp_path):
-    # 1e-3 (10/2pi)^2 does not divide t_end = 1, so the default step shortens
-    rc = main([
-        "evolve-front", "--ell", "10", "--alpha", "1", "--n-modes", "16",
-        "--t-end", "1", "--out", str(tmp_path / "front"),
-    ])
-    assert rc == EXIT_OK
-    summary = json.loads((tmp_path / "front" / "summary.json").read_text())
-    assert summary["times"][-1] == pytest.approx(1.0, rel=1e-12)
-    assert len(summary["times"]) == 1 + math.ceil(1.0 / (1e-3 * (10.0 / (2 * math.pi)) ** 2))
-
-
-def test_summary_records_the_default_step(tmp_path):
-    rc = main(["evolve-ks", "--ell0", "31.4", "--n-modes", "16", "--t-end", "0.1", "--out", str(tmp_path)])
-    assert rc == EXIT_OK
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    dt = default_dt(make_grid(31.4, 16), 0.1)
-    assert dt == pytest.approx(0.02, rel=1e-12)
-    assert summary["config"]["dt"] == dt
-    assert summary["times"][1] == pytest.approx(dt, rel=1e-12)
-
-
 _EVOLVE_DEFAULTS = {
-    "dt": None, "output_stride": 1, "ic": "random", "amplitude": 0.001, "seed": 0, "harmonic": 1,
+    "output_stride": 1, "ic": "random", "amplitude": 0.001, "seed": 0, "harmonic": 1,
 }
 
 # subcommand -> (required keys in reporting order, defaults of the optional keys)
 CONFIG_SURFACE = {
     "symbols": (["ell", "n_modes"], {"alpha": None, "epsilon": None}),
-    "evolve-front": (["ell", "alpha", "n_modes", "t_end"], _EVOLVE_DEFAULTS),
-    "evolve-ks": (["ell0", "n_modes", "t_end"], _EVOLVE_DEFAULTS),
-    "evolve-rescaled": (["ell0", "epsilon", "n_modes", "t_end"], _EVOLVE_DEFAULTS),
+    "evolve-front": (["ell", "alpha", "n_modes", "t_end", "dt"], _EVOLVE_DEFAULTS),
+    "evolve-ks": (["ell0", "n_modes", "t_end", "dt"], _EVOLVE_DEFAULTS),
+    "evolve-rescaled": (["ell0", "epsilon", "n_modes", "t_end", "dt"], _EVOLVE_DEFAULTS),
     "profiles": (
         ["ell", "alpha", "k", "phi"],
         {"phiy_sq": 0.0, "phi_t": None, "x_min": -10.0, "x_max": 5.0, "x_count": 301},
@@ -833,7 +837,7 @@ CONFIG_SURFACE = {
     ),
     "energy": (
         ["ell0", "n_modes", "epsilon", "t_end", "dt"],
-        {"order": 0, "amplitude": 0.1, "harmonic": 1, "output_stride": 10},
+        {"amplitude": 0.1, "harmonic": 1, "output_stride": 10},
     ),
     "ks-apriori": (
         ["ell0", "n_modes", "t_end", "dt"],

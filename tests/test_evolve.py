@@ -2,7 +2,6 @@
 
 import dataclasses
 import functools
-import math
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +14,6 @@ from frontks.evolve import (
     EquationDescriptor,
     SolverConfig,
     Trajectory,
-    default_dt,
     evolve,
     make_front_equation,
     make_ks_equation,
@@ -55,9 +53,6 @@ def test_ks_neutral_mode_at_threshold_period():
 def test_rescaled_descriptor_limits():
     grid = make_grid(10 * np.pi, 16)
     ks = make_ks_equation(grid)
-    zero = make_rescaled_equation(0.0, grid)
-    assert np.array_equal(zero.linear_symbol, ks.linear_symbol)
-    assert np.array_equal(zero.nonlinear_symbol, ks.nonlinear_symbol)
     gaps = []
     eps_list = [1e-2, 1e-3, 1e-4]
     for eps in eps_list:
@@ -498,24 +493,6 @@ def test_solver_config_rejects_t_end_off_the_step_lattice():
             SolverConfig(make_ks_equation(grid), good, dt=0.1, t_end=t_end)
     # round-off in t_end / dt is not a partial step
     assert SolverConfig(make_ks_equation(grid), good, dt=0.1, t_end=0.3).t_end == 0.3
-
-
-def test_default_dt_scaling():
-    assert default_dt(make_grid(TWO_PI, 8), 1.0) == pytest.approx(1e-3)
-    assert default_dt(make_grid(4 * np.pi, 8), 1.0) == pytest.approx(4e-3)
-
-
-def test_default_dt_given_t_end_divides_it():
-    grid = make_grid(10.0, 8)
-    base = 1e-3 * (10.0 / TWO_PI) ** 2  # the default step before it is fitted to t_end
-    dt = default_dt(grid, 1.0)
-    assert dt < base and 1.0 / dt == pytest.approx(math.ceil(1.0 / base), rel=1e-12)
-    assert SolverConfig(make_ks_equation(grid), SpectralField(grid, np.zeros(8)), dt, 1.0).dt == dt
-    # a t_end the default already divides keeps the default bit for bit
-    assert default_dt(make_grid(TWO_PI, 8), 1.0) == 1e-3
-    assert default_dt(grid, base / 4) == base / 4  # shorter than one default step
-    for t_end in (0.0, -1.0, np.inf, np.nan):  # left for SolverConfig to reject
-        assert default_dt(grid, t_end) == base
 
 
 def test_evolve_calls_step_coeffs_once_and_nonlinear_four_times_per_step(monkeypatch):

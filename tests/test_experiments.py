@@ -103,14 +103,6 @@ def test_convergence_study_small():
     assert np.all(np.isfinite(rep.zeta_sup_l2))
 
 
-def test_convergence_zero_epsilon_is_exact_limit():
-    ell0 = 10 * np.pi
-    grid = make_grid(ell0, 32)
-    phi0 = cosine_field(grid, 0.1, 1)
-    report = run_convergence_study(phi0, 0.2, [0.05, 0.0], dt=2e-3, output_stride=5)
-    assert report.sup_errors[1] == 0.0
-
-
 def test_convergence_requires_decreasing_epsilons():
     grid = make_grid(10 * np.pi, 16)
     with pytest.raises(ValueError):
@@ -129,10 +121,10 @@ def _recorded_runs(monkeypatch, edit=lambda config, traj: traj):
     return runs
 
 
-def _energy(eps, order=0):
+def _energy(eps):
     # a short paired run: K-S and the slow-scale equation from 0.1 cos on ell0 = 10 pi
     phi0 = cosine_field(make_grid(10 * np.pi, 32), 0.1, 1)
-    return run_energy_monitor(phi0, 0.3, eps, dt=2e-3, output_stride=5, order=order)
+    return run_energy_monitor(phi0, 0.3, eps, dt=2e-3, output_stride=5)
 
 
 def test_energy_identity_against_three_term_definition(monkeypatch):
@@ -161,13 +153,6 @@ def test_energy_monitor_nonzero_initial_remainder_is_an_internal_error(monkeypat
     _recorded_runs(monkeypatch, shift_the_eps_run)
     with pytest.raises(ArithmeticError):
         _energy(0.05)
-
-
-def test_energy_monitor_rejects_bad_order(monkeypatch):
-    runs = _recorded_runs(monkeypatch)
-    with pytest.raises(ValueError, match="order must be 0, 1 or 2, got 3"):
-        _energy(0.05, order=3)
-    assert runs == []
 
 
 def test_ks_apriori_zero_initial_data():
@@ -271,6 +256,19 @@ def test_galerkin_requires_increasing_truncations():
             t_end=0.1,
             dt=0.01,
         )
+
+
+@pytest.mark.parametrize("n_list", [[32], []])
+def test_galerkin_requires_two_truncations_before_evolving(n_list, monkeypatch):
+    # one truncation has no neighbour to compare with: no gap would be measured
+    evolved = []
+    monkeypatch.setattr(frontks.experiments, "evolve", lambda config: evolved.append(config))
+    with pytest.raises(ValueError, match="at least two truncations"):
+        run_galerkin_refinement(
+            make_descriptor=make_ks_equation, initial=lambda g: cosine_field(g, 1.0, 1),
+            period=80.0, n_list=n_list, t_end=0.1, dt=0.01,
+        )
+    assert evolved == []
 
 
 def test_etdrk4_order_check_fourth_order():

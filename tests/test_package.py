@@ -4,6 +4,7 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -50,6 +51,19 @@ def _used_names(tree: ast.Module) -> set[str]:
 def test_no_unused_imports(name):
     tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text())
     assert sorted(_imported_names(tree) - _used_names(tree)) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_is_the_only_runtime_dependency(path):
+    # an installed test extra such as mpmath would hide a stray import from a plain import test
+    tree = ast.parse(path.read_text())
+    roots = {a.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    roots |= {
+        node.module.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+    }
+    assert sorted(roots - sys.stdlib_module_names - {"numpy"}) == []
 
 
 # public names with no caller in the program, each kept on purpose
