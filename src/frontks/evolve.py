@@ -44,9 +44,11 @@ BLOWUP_NORM = 1e8
 # Etdrk4 evaluates the nonlinear term by two dense matrix-vector products on the
 # collocation points up to this many modes and by an FFT pair above it: for a
 # few hundred points a matrix product beats the per-call cost of an FFT.  Time
-# per nonlinear call, matrices over FFT, single-threaded BLAS on a 2-core x86
-# box: 0.23 at N=64, 0.31 at 96, 0.38 at 128, 0.6 at 160-192, 1.0-1.3 at 256.
-# Above 128 the margin shrinks while the matrices' memory and build grow as N^2.
+# per nonlinear call, matrices over FFT (5-smooth n_points, buffered FFT path),
+# single-threaded BLAS on a 2-core x86 box: 0.18-0.19 at N=64, 0.23-0.31 at 96,
+# 0.43-0.49 at 128, 0.58-0.78 at 160-192, 1.5-1.9 at 256; the crossover stays
+# between 192 and 256.  Above 128 the margin shrinks while the matrices' memory
+# and build grow as N^2.
 MATRIX_MAX_MODES = 128
 
 # The closed forms of the phi functions lose digits to cancellation near z = 0
@@ -135,6 +137,13 @@ class Etdrk4:
         if grid.n_modes <= MATRIX_MAX_MODES:
             self._slope, analysis = grid._collocation_matrices
             self._analysis = descriptor.nonlinear_symbol[:, None] * analysis
+        else:
+            # the FFT path's buffers, rewritten by every nonlinear call: the
+            # packed spectrum (zeroed once: _pack never writes Im z_0 or an
+            # unpaired Im z_K), its derivative, and the transforms' outputs
+            self._packed = np.zeros(2 * grid.max_harmonic + 2)
+            self._packed_slope = np.empty(grid.max_harmonic + 1, complex)
+            self._transformed = (np.empty(grid.n_points), np.empty(grid.n_points // 2 + 1, complex))
 
     def nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
         """G * dealiased (d/dy coeffs)^2, as a new array; coeffs is only read."""
@@ -143,11 +152,12 @@ class Etdrk4:
             slope = self._slope.dot(coeffs)
             slope *= slope
             return self._analysis.dot(slope)
-        # the derivative taken in the packed spectrum
+        # the derivative taken in the packed spectrum, out of place: an in-place
+        # product would turn the packed buffer's permanent zeros into NaN after
+        # one non-finite input (inf * 0), and every later call would be wrong
         grid = self.descriptor.grid
-        spectrum = _pack(grid, coeffs)
-        spectrum *= grid._ik
-        slope_sq = _square_spectrum(grid, spectrum)
+        np.multiply(_pack(grid, coeffs, self._packed), grid._ik, out=self._packed_slope)
+        slope_sq = _square_spectrum(grid, self._packed_slope, self._transformed)
         slope_sq *= self.descriptor.nonlinear_symbol
         return slope_sq
 

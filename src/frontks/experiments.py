@@ -325,6 +325,8 @@ def run_galerkin_refinement(
         raise ValueError(f"n_list must hold at least two truncations to compare, got {n_list}")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
+    if n_list[0] < 3:
+        raise ValueError(f"n_list truncations must have at least 3 modes, got {n_list}")
     configs = []
     for n in n_list:
         grid = make_grid(period, n)

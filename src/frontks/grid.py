@@ -13,8 +13,10 @@ sum_k a_k^2 = (1/L) int f^2 (Parseval) and a_0 is the mean of f.
 Quadratic products are evaluated pointwise on the grid's own collocation
 points, n_points >= 3K + 1 for top harmonic K (the 3/2 rule), and truncated,
 which makes the product alias-free on all retained modes.  n_points is rounded
-up to an even count with prime factors <= 7 only, because the FFT is several
-times slower on counts with a large prime factor (2 * 769 at n_modes = 1024).
+up to an even count with prime factors <= 5 only: the FFT is several times
+slower on counts with a large prime factor (2 * 769 at n_modes = 1024), and
+numpy's pocketfft has dedicated passes for the factors 2, 3, 4 and 5 but sends
+a factor 7 to its slower generic pass.
 """
 
 from __future__ import annotations
@@ -44,11 +46,15 @@ _SQRT2 = np.sqrt(2.0)
 
 
 def _fft_friendly(n: int) -> int:
-    """Smallest even count >= the even count n whose prime factors are all <= 7."""
+    """Smallest even count >= the even count n whose prime factors are all <= 5.
+
+    5-smooth counts are the ones pocketfft transforms with its dedicated
+    radix passes only; a factor 7 would take its generic pass.
+    """
     m = n
     while True:
         rest = m
-        for p in (2, 3, 5, 7):
+        for p in (2, 3, 5):
             while rest % p == 0:
                 rest //= p
         if rest == 1:
@@ -79,7 +85,8 @@ class SpectralGrid:
             raise ValueError(f"n_modes must be at least 3, got {self.n_modes}")
         # smallest even count above 3N/2 (>= 3K + 1 for top harmonic K, the 3/2
         # rule that keeps truncated quadratics alias-free), rounded up to the next
-        # even count with no prime factor above 7, the sizes pocketfft is fast on
+        # even count with no prime factor above 5, the sizes pocketfft has
+        # dedicated passes for
         object.__setattr__(self, "n_points", _fft_friendly(2 * (3 * self.n_modes // 4 + 1)))
         # wavenumbers q_j = 2 pi j / L of the harmonics j = 0..K
         q = 2.0 * np.pi * np.arange(self.max_harmonic + 1) / self.period
@@ -151,10 +158,12 @@ def collocation_points(grid: SpectralGrid, n_points: int | None = None) -> np.nd
     return -0.5 * grid.period + grid.period * np.arange(n) / n
 
 
-def _pack(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
+def _pack(grid: SpectralGrid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Real-basis coefficients -> half-complex spectrum z_0..z_K (rfft layout).
 
     Leading axes are batch axes: each row along the last axis is packed alone.
+    out, if given, is a float buffer of the packed shape to write into; the
+    slots this never writes (Im z_0 and an unpaired Im z_K) must hold zeros.
 
     The values at n collocation points are irfft(z, n, norm="forward").  As a
     float array, z interleaves (Re z_j, Im z_j), which lines up with the
@@ -162,7 +171,7 @@ def _pack(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     sign of each sin and the phase (-1)^j from points starting at -L/2.  An
     even truncation leaves the top cosine unpaired, so Im z_K stays zero.
     """
-    buf = np.zeros((*coeffs.shape[:-1], 2 * grid.max_harmonic + 2))
+    buf = np.zeros((*coeffs.shape[:-1], 2 * grid.max_harmonic + 2)) if out is None else out
     buf[..., 0] = coeffs[..., 0]
     np.divide(coeffs[..., 1:], grid._coeff_scale[1:], out=buf[..., 2 : grid.n_modes + 1])
     return buf.view(complex)
@@ -203,16 +212,20 @@ def differentiate(field: SpectralField) -> SpectralField:
     return SpectralField(grid, _unpack(grid, _pack(grid, field.coeffs) * grid._ik))
 
 
-def _square_spectrum(grid: SpectralGrid, spectrum: np.ndarray) -> np.ndarray:
+def _square_spectrum(
+    grid: SpectralGrid, spectrum: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """Real-basis coefficients of the square of the function with this _pack spectrum.
 
     One FFT pair: n_points >= 3K + 1 resolves every harmonic of the product
     that could alias onto a retained one; truncating back to n_modes drops
-    the rest.
+    the rest.  out, if given, is the (values, product spectrum) pair of
+    buffers for the two transforms to write into; the result is new either way.
     """
-    values = np.fft.irfft(spectrum, grid.n_points, norm="forward")
+    values, product = (None, None) if out is None else out
+    values = np.fft.irfft(spectrum, grid.n_points, norm="forward", out=values)
     values *= values
-    return _unpack(grid, np.fft.rfft(values, norm="forward"))
+    return _unpack(grid, np.fft.rfft(values, norm="forward", out=product))
 
 
 def dealiased_square(field: SpectralField) -> SpectralField:
@@ -235,6 +248,8 @@ def random_zero_mean_field(grid: SpectralGrid, amplitude: float, seed: int) -> S
 
     Rescaled so the L2 (coefficient) norm equals ``amplitude``.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     raw = rng.uniform(-1.0, 1.0, grid.n_modes)
     coeffs = np.zeros(grid.n_modes)

@@ -555,6 +555,24 @@ def test_every_epsilon_study_takes_epsilon_in_the_unit_interval_alone(
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv,violation", [
+    (["stability-scan", "--ell", "12.56", "--n-modes", "16", "--alphas", "2", "--t-end", "0.1",
+      "--dt", "0.01", "--seed", "-1"], "seed must be non-negative, got -1"),
+    (["evolve-ks", *SLOW_RUN, "--seed", "-3"], "seed must be non-negative, got -3"),
+    (["galerkin", "--ell", "31.4", "--n-list", "0,16", "--t-end", "0.1", "--dt", "0.01"],
+     "n_list truncations must have at least 3 modes, got [0, 16]"),
+], ids=["stability-scan-seed", "evolve-ks-seed", "galerkin-n-list"])
+def test_config_errors_name_their_key(argv, violation, tmp_path, monkeypatch, capsys):
+    evolved = []
+    for module in (frontks.cli, frontks.experiments):
+        monkeypatch.setattr(module, "evolve", lambda config: evolved.append(config))
+    rc = main([*argv, "--out", str(tmp_path / "run")])
+    assert rc == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["violations"] == [violation]
+    assert evolved == []
+    assert not (tmp_path / "run").exists()
+
+
 def test_energy_blowup_exit_code(tmp_path):
     out = tmp_path / "en"
     rc = main(["energy", *BLOWUP_ARGS, "--epsilon", "0.1", "--out", str(out)])

@@ -23,6 +23,8 @@ from frontks.evolve import (
 from frontks.experiments import fit_log_slope
 from frontks.grid import (
     SpectralField,
+    _pack,
+    _square_spectrum,
     cosine_field,
     dealiased_square,
     differentiate,
@@ -275,6 +277,67 @@ def test_step_coeffs_is_the_textbook_step_bit_for_bit(n, equation):
         assert np.array_equal(u, before)
         assert not np.shares_memory(out, u)
         u = out
+
+
+def _unbuffered_nonlinear(descriptor):
+    """The FFT-path nonlinear term composed of fresh arrays: pack, derivative, square, G."""
+    grid = descriptor.grid
+
+    def nonlinear(v):
+        return _square_spectrum(grid, _pack(grid, v) * grid._ik) * descriptor.nonlinear_symbol
+
+    return nonlinear
+
+
+def _arrays(stepper):
+    for value in vars(stepper).values():
+        yield from (a for a in (value if isinstance(value, tuple) else (value,))
+                    if isinstance(a, np.ndarray))
+
+
+# all on the FFT path; 256 and 2048 leave the top cosine unpaired
+FFT_PATH_MODES = [129, 256, 257, 2048]
+
+
+@pytest.mark.parametrize("equation", sorted(EQUATIONS))
+@pytest.mark.parametrize("n", FFT_PATH_MODES)
+def test_fft_path_nonlinear_is_the_unbuffered_composition_bit_for_bit(n, equation):
+    grid = make_grid(10 * np.pi, n)
+    descriptor = EQUATIONS[equation](grid)
+    stepper = Etdrk4(descriptor, 1e-3)
+    assert stepper._slope is None
+    nonlinear = _unbuffered_nonlinear(descriptor)
+    u = random_zero_mean_field(grid, 1.0, n).coeffs
+    for _ in range(3):
+        assert np.array_equal(stepper.nonlinear(u), nonlinear(u))
+        out = stepper.step_coeffs(u)
+        assert np.array_equal(out, _textbook_step(stepper, nonlinear, u))
+        u = out
+
+
+@pytest.mark.parametrize("equation", sorted(EQUATIONS))
+@pytest.mark.parametrize("n", FFT_PATH_MODES)
+def test_fft_path_nonlinear_carries_no_state_between_calls(n, equation):
+    grid = make_grid(10 * np.pi, n)
+    stepper = Etdrk4(EQUATIONS[equation](grid), 1e-3)
+    assert stepper._slope is None
+    u, v = np.random.default_rng(n).standard_normal((2, n))
+    first = stepper.nonlinear(u)
+    kept = first.copy()
+    second = stepper.nonlinear(v)
+    for result, arg in ((first, u), (second, v)):
+        assert not np.shares_memory(result, arg)
+        assert not any(np.shares_memory(result, a) for a in _arrays(stepper))
+    # an infinite top coefficient meets a zero derivative multiplier when the
+    # top cosine is unpaired: inf * 0 must not outlive its call
+    blown = u.copy()
+    blown[-1] = np.inf
+    with np.errstate(all="ignore"):
+        stepper.nonlinear(blown)
+    assert np.array_equal(first, kept)
+    fresh = Etdrk4(EQUATIONS[equation](grid), 1e-3)
+    assert np.array_equal(stepper.nonlinear(v), fresh.nonlinear(v))
+    assert np.array_equal(stepper.nonlinear(u), kept)
 
 
 SYMMETRY_PERIOD = 40.0

@@ -65,8 +65,8 @@ def test_grid_points_even_and_sufficient():
         assert grid.n_points >= 3 * grid.max_harmonic + 1
 
 
-def _prime_factors_at_most_7(m):
-    for p in (2, 3, 5, 7):
+def _prime_factors_at_most_5(m):
+    for p in (2, 3, 5):
         while m % p == 0:
             m //= p
     return m == 1
@@ -78,9 +78,9 @@ def test_grid_points_are_the_smallest_fft_friendly_count():
         points = make_grid(1.0, n).n_points
         floor = 2 * (3 * n // 4 + 1)
         assert points % 2 == 0 and points >= floor, n
-        assert _prime_factors_at_most_7(points), n
-        assert not any(_prime_factors_at_most_7(m) for m in range(floor, points, 2)), n
-    assert [make_grid(1.0, n).n_points for n in (64, 128, 1024, 2048)] == [98, 196, 1568, 3136]
+        assert _prime_factors_at_most_5(points), n
+        assert not any(_prime_factors_at_most_5(m) for m in range(floor, points, 2)), n
+    assert [make_grid(1.0, n).n_points for n in (64, 128, 1024, 2048)] == [100, 200, 1600, 3200]
 
 
 def test_grid_is_its_period_and_truncation():
