@@ -10,7 +10,6 @@ re-derives the underlying free-boundary profiles as a numerical audit.
 from .grid import (
     SpectralField,
     SpectralGrid,
-    collocation_points,
     cosine_field,
     dealiased_square,
     differentiate,
@@ -44,9 +43,7 @@ from .profiles import (
     ProfileSlice,
     front_time_derivative,
     jump_residuals,
-    profile_coefficients,
-    reconstruct_mode,
-    reconstruct_mode0,
+    reconstruct_profile,
 )
 
 __version__ = "0.1.0"

@@ -38,9 +38,7 @@ from .profiles import (
     FrontModeData,
     front_time_derivative,
     jump_residuals,
-    profile_coefficients,
-    reconstruct_mode,
-    reconstruct_mode0,
+    reconstruct_profile,
 )
 from .symbols import build_rescaled_symbols, build_symbols, verify_symbol_bounds
 
@@ -271,7 +269,6 @@ def _cmd_evolve(equation, cfg) -> tuple[int, dict]:
     return EXIT_BLOWUP if traj.blown_up else EXIT_OK, {
         "trajectory.csv": (header, np.column_stack([traj.times, traj.coeffs]).tolist()),
         "summary.json": {
-            "label": traj.descriptor.label,
             "config": cfg,
             "times": traj.times,
             "l2": traj.diagnostics["l2"],
@@ -290,20 +287,17 @@ def _cmd_profiles(cfg) -> tuple[int, dict]:
     if cfg["x_count"] < 1:
         raise ConfigError(["key 'x_count': must be positive"])
     lam = eigenvalue(cfg["ell"], k)
+    if lam == np.inf:
+        # (2 pi j / ell)^2 past the float range: every profile value would be nan
+        raise ConfigError([f"keys 'ell' and 'k': mode {k} at period {cfg['ell']:g} has no finite eigenvalue"])
     phi_t = cfg["phi_t"]
     if phi_t is None:
         phi_t = front_time_derivative(cfg["alpha"], lam, cfg["phi"], cfg["phiy_sq"])
     data = FrontModeData(
-        k=k, lambda_k=lam, alpha=cfg["alpha"], phi=cfg["phi"], phi_t=phi_t, phiy_sq=cfg["phiy_sq"]
+        lambda_k=lam, alpha=cfg["alpha"], phi=cfg["phi"], phi_t=phi_t, phiy_sq=cfg["phiy_sq"]
     )
     x = np.linspace(cfg["x_min"], cfg["x_max"], cfg["x_count"])
-    if k == 0:
-        profile = reconstruct_mode0(data, x)
-        coeff_info = {}
-    else:
-        coeffs = profile_coefficients(data)
-        profile = reconstruct_mode(data, coeffs, x)
-        coeff_info = {"c1": coeffs.c1, "c2": coeffs.c2, "nu": coeffs.nu}
+    profile = reconstruct_profile(data, x)
     res = jump_residuals(profile, data)
     return EXIT_OK, {
         "profile.csv": (["x", "u", "v"], zip(x, profile.u_values, profile.v_values)),
@@ -317,7 +311,7 @@ def _cmd_profiles(cfg) -> tuple[int, dict]:
             "u_x_left": profile.u_x_left,
             "v_left": profile.v_left,
             "v_right": profile.v_right,
-            **coeff_info,
+            **(asdict(profile.coefficients) if profile.coefficients else {}),
         },
     }
 

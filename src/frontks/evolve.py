@@ -82,19 +82,16 @@ class EquationDescriptor:
     grid: SpectralGrid
     linear_symbol: np.ndarray
     nonlinear_symbol: np.ndarray
-    label: str
 
 
 def make_front_equation(alpha: float, grid: SpectralGrid) -> EquationDescriptor:
     table = build_symbols(alpha, grid)
-    return EquationDescriptor(
-        grid, table.growth_rate, table.quad_gain, f"front(alpha={alpha:g})"
-    )
+    return EquationDescriptor(grid, table.growth_rate, table.quad_gain)
 
 
 def make_ks_equation(grid: SpectralGrid) -> EquationDescriptor:
     lam = grid.eigenvalues
-    return EquationDescriptor(grid, lam - 4.0 * lam**2, np.full(grid.n_modes, -0.5), "ks")
+    return EquationDescriptor(grid, lam - 4.0 * lam**2, np.full(grid.n_modes, -0.5))
 
 
 def make_rescaled_equation(epsilon: float, grid: SpectralGrid) -> EquationDescriptor:
@@ -104,7 +101,6 @@ def make_rescaled_equation(epsilon: float, grid: SpectralGrid) -> EquationDescri
         grid,
         table.stiffness / table.mass,
         table.quad_filter / table.mass,
-        f"rescaled(eps={epsilon:g})",
     )
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import (
-    EquationDescriptor,
     SolverConfig,
     Trajectory,
     evolve,
@@ -33,7 +32,6 @@ __all__ = [
     "EnergyTrace",
     "KsAprioriReport",
     "GalerkinReport",
-    "OrderCheck",
     "fit_log_slope",
     "measured_growth_rate",
     "run_stability_scan",
@@ -41,7 +39,6 @@ __all__ = [
     "run_energy_monitor",
     "run_ks_apriori_check",
     "run_galerkin_refinement",
-    "etdrk4_order_check",
 ]
 
 
@@ -347,34 +344,3 @@ def run_galerkin_refinement(
         max_l2=np.asarray(max_l2),
         blowups=blowups,
     )
-
-
-@dataclass
-class OrderCheck:
-    dt: float
-    error_coarse: float  # against a dt/8 reference, nan when either run blew up
-    error_half: float
-    ratio: float         # ~2^4 for a fourth-order scheme
-    blowups: list[float]  # the steps whose run blew up
-
-
-def etdrk4_order_check(
-    descriptor: EquationDescriptor, initial: SpectralField, t_end: float, dt: float
-) -> OrderCheck:
-    """Self-convergence of the stepper under dt halving (reference at dt/8)."""
-    configs = [
-        (dt / scale, SolverConfig(descriptor, initial, dt / scale, t_end, output_stride=10**9))
-        for scale in (1, 2, 8)
-    ]
-    blowups = []
-    # final states only; a blown-up run has none, so every error it enters is nan
-    coarse, half, ref = (
-        np.full(descriptor.grid.n_modes, np.nan) if traj.blown_up else traj.coeffs[-1]
-        for _, traj in _evolve_each(configs, blowups)
-    )
-    e1 = np.sqrt(np.sum((coarse - ref) ** 2))
-    e2 = np.sqrt(np.sum((half - ref) ** 2))
-    # a dt/2 run that lands on the reference: 0/0 is nan, a positive error over 0 is inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = float(e1 / e2)
-    return OrderCheck(dt=dt, error_coarse=float(e1), error_half=float(e2), ratio=ratio, blowups=blowups)

@@ -32,7 +32,6 @@ __all__ = [
     "SpectralField",
     "make_grid",
     "eigenvalue",
-    "collocation_points",
     "transform",
     "inverse_transform",
     "differentiate",
@@ -150,12 +149,6 @@ def eigenvalue(period: float, k):
         raise ValueError(f"period must be positive and finite, got {period}")
     q = 2.0 * np.pi * ((k + 1) // 2) / period
     return q * q
-
-
-def collocation_points(grid: SpectralGrid, n_points: int | None = None) -> np.ndarray:
-    """Uniform sample points y_i = -L/2 + i L/n, i = 0..n-1."""
-    n = grid.n_points if n_points is None else n_points
-    return -0.5 * grid.period + grid.period * np.arange(n) / n
 
 
 def _pack(grid: SpectralGrid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -12,9 +12,10 @@ how faithfully the whole derivation chain hangs together numerically.
 Growth conventions for the decaying tails: with nu = (1 + sqrt(1+4 lam))/2
 the admissible homogeneous solutions are exp(nu x) on x < 0 and
 exp((1 - nu) x) on x > 0.  The temperature slope at the front is pinned by
-the flux-jump condition u_x(0-) = -T1/nu (T1 the driving combination); the
-reconstruction recomputes it from the profile and flags any mismatch
-rather than silently picking a sign.
+the flux-jump condition u_x(0-) = -T1/nu (T1 the driving combination).
+nu - 1 is taken as 2 lam/(1 + sqrt(1 + 4 lam)), which keeps its digits at
+small lam (a long period).  A mode is named by its eigenvalue alone;
+lam = 0 is the mean mode, which has a closed form of its own.
 """
 
 from __future__ import annotations
@@ -31,18 +32,15 @@ __all__ = [
     "ProfileSlice",
     "JumpResiduals",
     "front_time_derivative",
-    "reconstruct_mode0",
-    "profile_coefficients",
-    "reconstruct_mode",
+    "reconstruct_profile",
     "jump_residuals",
 ]
 
 
 @dataclass(frozen=True)
 class FrontModeData:
-    """One mode's front state: value phi, derivative phi_t, squared-slope coefficient."""
+    """One mode's front state: eigenvalue, value phi, derivative phi_t, squared-slope coefficient."""
 
-    k: int
     lambda_k: float
     alpha: float
     phi: float
@@ -50,10 +48,8 @@ class FrontModeData:
     phiy_sq: float
 
     def __post_init__(self):
-        if self.k == 0 and self.lambda_k != 0.0:
-            raise ValueError("mode 0 must carry eigenvalue 0")
-        if self.k >= 1 and not self.lambda_k > 0:
-            raise ValueError("modes k >= 1 must carry a positive eigenvalue")
+        if not 0.0 <= self.lambda_k < np.inf:
+            raise ValueError(f"lambda_k must be non-negative and finite, got {self.lambda_k}")
 
     @property
     def forcing(self) -> float:
@@ -83,7 +79,8 @@ class ProfileCoefficients:
 
 @dataclass(frozen=True)
 class ProfileSlice:
-    """Profiles sampled on x_points plus the one-sided limits at the front."""
+    """Profiles sampled on x_points, the one-sided limits at the front and,
+    for lam > 0, the free constants (None for the mean mode)."""
 
     x_points: np.ndarray
     u_values: np.ndarray
@@ -93,69 +90,51 @@ class ProfileSlice:
     v_right: float
     v_x_left: float
     v_x_right: float
+    coefficients: ProfileCoefficients | None
 
 
-def reconstruct_mode0(data: FrontModeData, x_points: np.ndarray) -> ProfileSlice:
-    """Mean-mode profiles: u = -W x e^x and v = -alpha W x(x+1) e^x on x <= 0."""
-    if data.k != 0:
-        raise ValueError(f"mean-mode reconstruction called with k={data.k}")
-    x = np.asarray(x_points, dtype=float)
-    w = data.forcing
-    neg = x < 0
-    ex = np.exp(np.where(neg, x, 0.0))
-    u = np.where(neg, -w * x * ex, 0.0)
-    v = np.where(neg, -data.alpha * w * x * (x + 1.0) * ex, 0.0)
-    return ProfileSlice(
-        x_points=x,
-        u_values=u,
-        v_values=v,
-        u_x_left=-w,
-        v_left=0.0,
-        v_right=0.0,
-        v_x_left=-data.alpha * w,
-        v_x_right=0.0,
-    )
-
-
-def profile_coefficients(data: FrontModeData) -> ProfileCoefficients:
-    """Free constants for k >= 1, linear in the front data (and in alpha)."""
-    if data.k == 0:
-        raise ValueError("mode 0 has its own closed form; use reconstruct_mode0")
-    lam, alpha = data.lambda_k, data.alpha
-    nu = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * lam))
-    om = 1.0 - 2.0 * nu  # = -sqrt(1 + 4 lam), never zero for k >= 1
-    p, w = data.phi, data.forcing
-    c1 = (alpha / om) * (1.0 + nu + nu / om + lam / nu) * p + (alpha / om) * (
-        1.0 / lam + 2.0 * nu / lam + 1.0 / nu + nu / (om * lam)
-    ) * w
-    c2 = (alpha / om) * (2.0 + nu / om + lam / nu - nu) * p - (alpha / om) * (
-        2.0 * nu / lam - 3.0 / lam - nu / (om * lam) - 1.0 / nu
-    ) * w
-    return ProfileCoefficients(c1=float(c1), c2=float(c2), nu=float(nu))
-
-
-def reconstruct_mode(
-    data: FrontModeData, coeffs: ProfileCoefficients, x_points: np.ndarray
-) -> ProfileSlice:
-    """Evaluate the k >= 1 profiles on x_points and extract the front limits.
+def reconstruct_profile(data: FrontModeData, x_points: np.ndarray) -> ProfileSlice:
+    """Evaluate the mode's profiles on x_points and extract the front limits.
 
     x should stay within about [-30, 30]; beyond that the exponentials
     underflow harmlessly to zero.
     """
-    if data.k == 0:
-        raise ValueError("use reconstruct_mode0 for the mean mode")
     x = np.asarray(x_points, dtype=float)
     lam, alpha = data.lambda_k, data.alpha
-    nu, c1, c2 = coeffs.nu, coeffs.c1, coeffs.c2
     p, w, t1 = data.phi, data.forcing, data.driving
-    om = 1.0 - 2.0 * nu
-
     neg = x < 0
     xm = np.where(neg, x, 0.0)
     ex = np.exp(xm)
+    if lam == 0.0:
+        # the mean mode: u = -W x e^x and v = -alpha W x(x+1) e^x on x <= 0
+        u = np.where(neg, -w * x * ex, 0.0)
+        v = np.where(neg, -alpha * w * x * (x + 1.0) * ex, 0.0)
+        return ProfileSlice(
+            x_points=x,
+            u_values=u,
+            v_values=v,
+            u_x_left=-w,
+            v_left=0.0,
+            v_right=0.0,
+            v_x_left=-alpha * w,
+            v_x_right=0.0,
+            coefficients=None,
+        )
+    root = np.sqrt(1.0 + 4.0 * lam)
+    nu = 0.5 * (1.0 + root)
+    nu_m1 = 2.0 * lam / (1.0 + root)  # nu - 1, factored so small lam keeps its digits
+    om = 1.0 - 2.0 * nu  # = -root, never zero
+    # the free constants, linear in the front data (and in alpha)
+    c1 = float((alpha / om) * (1.0 + nu + nu / om + lam / nu) * p + (alpha / om) * (
+        1.0 / lam + 2.0 * nu / lam + 1.0 / nu + nu / (om * lam)
+    ) * w)
+    c2 = float((alpha / om) * (2.0 + nu / om + lam / nu - nu) * p - (alpha / om) * (
+        2.0 * nu / lam - 3.0 / lam - nu / (om * lam) - 1.0 / nu
+    ) * w)
+
     enu = np.exp(nu * xm)
     # u = (T1/lam)(e^x - e^(nu x)); difference via expm1 to keep x ~ 0 accurate
-    u = np.where(neg, -(t1 / lam) * ex * np.expm1((nu - 1.0) * xm), 0.0)
+    u = np.where(neg, -(t1 / lam) * ex * np.expm1(nu_m1 * xm), 0.0)
     v_neg = (
         c1 * enu
         + (alpha / lam) * w * (xm + 2.0) * ex
@@ -163,18 +142,8 @@ def reconstruct_mode(
         + (alpha / lam) * (nu / om) * t1 * xm * enu
     )
     xp = np.where(neg, 0.0, x)
-    v_pos = c2 * np.exp((1.0 - nu) * xp)
-    v = np.where(neg, v_neg, v_pos)
-
-    u_x_left = (t1 / lam) * (1.0 - nu)
-    # the flux jump pins u_x(0-) = -T1/nu; flag disagreement instead of choosing
-    pinned = -t1 / nu
-    scale = max(1.0, abs(pinned))
-    if abs(u_x_left - pinned) > 1e-9 * scale:
-        raise ArithmeticError(
-            f"front slope from the profile ({u_x_left:.17g}) disagrees with the "
-            f"flux-jump value ({pinned:.17g})"
-        )
+    v = np.where(neg, v_neg, c2 * np.exp(-nu_m1 * xp))
+    u_x_left = -(t1 / lam) * nu_m1
     v_left = c1 + 2.0 * alpha * w / lam + alpha * p
     v_x_left = nu * c1 + 3.0 * alpha * w / lam + 2.0 * alpha * p + (alpha / lam) * (nu / om) * t1
     return ProfileSlice(
@@ -183,9 +152,10 @@ def reconstruct_mode(
         v_values=v,
         u_x_left=float(u_x_left),
         v_left=float(v_left),
-        v_right=float(c2),
+        v_right=c2,
         v_x_left=float(v_x_left),
-        v_x_right=float((1.0 - nu) * c2),
+        v_x_right=float(-nu_m1 * c2),
+        coefficients=ProfileCoefficients(c1=c1, c2=c2, nu=float(nu)),
     )
 
 

@@ -392,6 +392,40 @@ def test_profiles_reads_one_eigenvalue_in_constant_memory(tmp_path):
     assert json.loads((tmp_path / "prof" / "residuals.json").read_text())["lambda"] == 2.5e11
 
 
+@pytest.mark.parametrize("k,coefficients", [(0, set()), (1, {"c1", "c2", "nu"})])
+def test_profiles_reports_the_free_constants_of_the_tails_only(k, coefficients, tmp_path):
+    out = tmp_path / "prof"
+    argv = ["profiles", "--ell", "6.283185307179586", "--alpha", "1", "--k", str(k), "--phi", "1"]
+    assert main([*argv, "--phiy-sq", "0.3", "--out", str(out)]) == EXIT_OK
+    res = json.loads((out / "residuals.json").read_text())
+    assert res["k"] == k
+    assert {"c1", "c2", "nu"} & set(res) == coefficients
+    assert res["boundary_residual"] < 1e-15 and res["flux_residual"] < 1e-15
+
+
+def test_profiles_at_a_long_period_reports_its_residuals(tmp_path):
+    # lam ~ 4e-11: nu - 1 must not come from 1 - nu, which keeps 6 digits there
+    out = tmp_path / "prof"
+    argv = ["profiles", "--ell", "1e6", "--alpha", "1", "--k", "1", "--phi", "1", "--phiy-sq", "0.3"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    res = json.loads((out / "residuals.json").read_text())
+    residuals = [res[key] for key in ("boundary_residual", "flux_residual", "v_continuity")]
+    assert all(math.isfinite(r) for r in residuals)
+    # c1 and c2 are differences of O(1/lam) terms, so about 1e-16/lam of them is round-off
+    assert max(residuals) < 1e-4
+    header, rows = _read_csv(out / "profile.csv")
+    assert len(rows) == 301 and all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+def test_profiles_rejects_a_period_whose_eigenvalue_overflows(tmp_path, capsys):
+    out = tmp_path / "prof"
+    rc = main(["profiles", "--ell", "1e-300", "--alpha", "1", "--k", "1", "--phi", "1", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    [violation] = json.loads(capsys.readouterr().err)["violations"]
+    assert "'ell'" in violation and "'k'" in violation
+    assert not out.exists()
+
+
 def test_profiles_rejects_an_empty_grid_before_writing(tmp_path, capsys):
     out = tmp_path / "prof"
     rc = main([

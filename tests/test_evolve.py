@@ -66,6 +66,25 @@ def test_rescaled_descriptor_limits():
     assert fit_log_slope(eps_list, gaps) > 0.9  # entrywise gap shrinks linearly
 
 
+@pytest.mark.parametrize("eps", [0.5, 0.1, 0.04, 0.01, 0.001])
+@pytest.mark.parametrize("harmonic", [1, 5])
+def test_front_equation_in_slow_variables_is_the_rescaled_equation(harmonic, eps):
+    # phi(y, t) = eps psi(sqrt(eps) y, eps^2 t) on period ell0/sqrt(eps) at alpha = 1 + eps: the
+    # two runs take the same steps, so their snapshots agree up to round-off in the symbols.
+    # Harmonic 5 (lam = 1) is where eps h, the mass correction, is a sizable part of the mass.
+    ell0, dt, t_end, stride = 10 * np.pi, 1e-3, 1.0, 100
+    slow_grid, front_grid = make_grid(ell0, 128), make_grid(ell0 / np.sqrt(eps), 128)
+    slow = evolve(SolverConfig(
+        make_rescaled_equation(eps, slow_grid), cosine_field(slow_grid, 0.1, harmonic), dt, t_end, stride
+    ))
+    front = evolve(SolverConfig(
+        make_front_equation(1 + eps, front_grid), cosine_field(front_grid, 0.1 * eps, harmonic),
+        dt / eps**2, t_end / eps**2, stride,
+    ))
+    assert front.coeffs.shape == slow.coeffs.shape == (11, 128)
+    assert np.max(np.abs(front.coeffs / eps - slow.coeffs)) <= 1e-12 * np.max(np.abs(slow.coeffs))
+
+
 def test_zero_field_is_fixed_point():
     grid = make_grid(TWO_PI, 16)
     out = Etdrk4(make_front_equation(2.0, grid), 0.05).step_coeffs(np.zeros(16))
@@ -88,7 +107,7 @@ def test_linear_exactness_regardless_of_stiffness():
     # zero nonlinear symbol: each mode must follow exp(L t) through t = 1
     grid = make_grid(TWO_PI, 64)
     lam = grid.eigenvalues
-    desc = EquationDescriptor(grid, lam - 4 * lam**2, np.zeros(64), "linear-ks")
+    desc = EquationDescriptor(grid, lam - 4 * lam**2, np.zeros(64))
     ic = np.full(64, 1.0)
     traj = evolve(SolverConfig(descriptor=desc, initial_condition=SpectralField(grid, ic), dt=0.05, t_end=1.0, output_stride=100))
     expected = np.exp(desc.linear_symbol)
@@ -100,7 +119,7 @@ def test_linear_exactness_regardless_of_stiffness():
 def test_stepper_coefficients_at_zero_symbol():
     # contour evaluation must reproduce the analytic z -> 0 limits
     grid = make_grid(TWO_PI, 8)
-    desc = EquationDescriptor(grid, np.zeros(8), np.zeros(8), "null")
+    desc = EquationDescriptor(grid, np.zeros(8), np.zeros(8))
     h = 0.37
     st = Etdrk4(desc, h)
     assert np.allclose(st.exp_full, 1.0, atol=0)
@@ -132,7 +151,7 @@ def _per_mode_coefficients(z, dt):
 def _distinct_symbol_equation(grid):
     """Seeded random linear symbol: no two modes share a contour."""
     lin = -np.random.default_rng(grid.n_modes).uniform(0.0, 50.0, grid.n_modes)
-    return EquationDescriptor(grid, lin, np.full(grid.n_modes, -0.5), "distinct")
+    return EquationDescriptor(grid, lin, np.full(grid.n_modes, -0.5))
 
 
 @pytest.mark.parametrize("equation", [*sorted(EQUATIONS), "distinct"])
@@ -189,7 +208,7 @@ def _phi_50_digits(z):
 def test_stepper_coefficients_match_50_digit_phi_functions(z, tol):
     dt = 0.5  # a power of two: z / dt and coefficient / dt are exact
     grid = make_grid(TWO_PI, z.size)
-    stepper = Etdrk4(EquationDescriptor(grid, z / dt, np.zeros(z.size), "phi"), dt)
+    stepper = Etdrk4(EquationDescriptor(grid, z / dt, np.zeros(z.size)), dt)
     got = np.array([stepper.coeff_q, stepper.coeff_f1, stepper.coeff_f2, stepper.coeff_f3]) / dt
     want = np.array([_phi_50_digits(v) for v in z]).T
     assert np.max(np.abs(got - want) / np.abs(want)) <= tol
@@ -493,7 +512,7 @@ def test_evolve_snapshot_layout_and_determinism():
 
 def test_evolve_blowup_flagged_not_raised():
     grid = make_grid(TWO_PI, 16)
-    runaway = EquationDescriptor(grid, np.full(16, 40.0), np.zeros(16), "runaway")
+    runaway = EquationDescriptor(grid, np.full(16, 40.0), np.zeros(16))
     traj = evolve(
         SolverConfig(
             descriptor=runaway,

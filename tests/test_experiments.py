@@ -1,7 +1,6 @@
 """Experiment harness: scans, convergence, energy, bounds, refinement."""
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ import pytest
 import frontks.experiments
 from frontks.evolve import EquationDescriptor, make_front_equation, make_ks_equation
 from frontks.experiments import (
-    etdrk4_order_check,
     fit_log_slope,
     run_convergence_study,
     run_energy_monitor,
@@ -147,10 +145,8 @@ def test_energy_identity_against_three_term_definition(monkeypatch):
 
 def test_energy_monitor_nonzero_initial_remainder_is_an_internal_error(monkeypatch):
     # an invariant of the paired run, not a bad argument: not a ValueError
-    def shift_the_eps_run(config, traj):
-        return replace(traj, coeffs=traj.coeffs + 1e-3) if config.descriptor.label != "ks" else traj
-
-    _recorded_runs(monkeypatch, shift_the_eps_run)
+    shifts = iter([0.0, 1e-3])  # the K-S run first, then the eps run
+    _recorded_runs(monkeypatch, lambda config, traj: replace(traj, coeffs=traj.coeffs + next(shifts)))
     with pytest.raises(ArithmeticError):
         _energy(0.05)
 
@@ -172,9 +168,7 @@ def test_ks_apriori_short_run_has_margin():
 
 def test_galerkin_linear_problem_identical_beyond_active_band():
     lam_of = lambda g: g.eigenvalues
-    make_linear = lambda g: EquationDescriptor(
-        g, lam_of(g) - 4 * lam_of(g) ** 2, np.zeros(g.n_modes), "linear"
-    )
+    make_linear = lambda g: EquationDescriptor(g, lam_of(g) - 4 * lam_of(g) ** 2, np.zeros(g.n_modes))
     rep = run_galerkin_refinement(
         make_descriptor=make_linear,
         initial=lambda g: cosine_field(g, 1.0, 1),
@@ -269,40 +263,3 @@ def test_galerkin_requires_two_truncations_before_evolving(n_list, monkeypatch):
             period=80.0, n_list=n_list, t_end=0.1, dt=0.01,
         )
     assert evolved == []
-
-
-def test_etdrk4_order_check_fourth_order():
-    grid = make_grid(80.0, 64)
-    chk = etdrk4_order_check(make_ks_equation(grid), cosine_field(grid, 12.7, 1), t_end=4.0, dt=0.2)
-    assert 12.0 <= chk.ratio <= 20.0
-
-
-def test_etdrk4_order_check_blown_up_runs_give_nan():
-    # the dt and dt/2 runs blow up at t=10: they have no final state to compare
-    grid = make_grid(80.0, 64)
-    chk = etdrk4_order_check(make_ks_equation(grid), cosine_field(grid, 50.0, 1), t_end=50.0, dt=5.0)
-    assert np.isnan(chk.error_coarse) and np.isnan(chk.error_half) and np.isnan(chk.ratio)
-    assert chk.blowups == [5.0, 2.5]
-
-
-def test_etdrk4_order_check_dt_half_run_on_the_reference_gives_nan():
-    # a null field stays null: all three runs agree exactly, so the ratio is 0/0
-    grid = make_grid(80.0, 16)
-    chk = etdrk4_order_check(make_ks_equation(grid), cosine_field(grid, 0.0, 1), t_end=1.0, dt=0.5)
-    assert chk.error_coarse == 0.0 and chk.error_half == 0.0
-    assert np.isnan(chk.ratio)
-    assert chk.blowups == []
-
-
-def test_etdrk4_order_check_positive_error_over_zero_gives_inf(monkeypatch):
-    # only the dt run misses the reference: the dt/2 run lands on it exactly
-    grid = make_grid(80.0, 16)
-
-    def final_state(config):
-        value = 1.0 if config.dt == 0.5 else 0.0
-        return SimpleNamespace(blown_up=False, coeffs=np.full((1, grid.n_modes), value))
-
-    monkeypatch.setattr(frontks.experiments, "evolve", final_state)
-    chk = etdrk4_order_check(make_ks_equation(grid), cosine_field(grid, 0.0, 1), t_end=1.0, dt=0.5)
-    assert chk.error_coarse == 4.0 and chk.error_half == 0.0
-    assert chk.ratio == np.inf

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from frontks.grid import (
     SpectralGrid,
-    collocation_points,
     cosine_field,
     dealiased_square,
     differentiate,
@@ -26,6 +25,12 @@ from frontks.grid import (
 
 TWO_PI = 2.0 * np.pi
 PERIODS = (1.0, TWO_PI, 5.5, 10 * np.pi, 80.0)
+
+
+def collocation_points(grid, n_points=None):
+    """The points transform samples: y_i = -L/2 + i L/n, i = 0..n-1, n = grid.n_points by default."""
+    n = grid.n_points if n_points is None else n_points
+    return -0.5 * grid.period + grid.period * np.arange(n) / n
 
 
 def test_grid_eigenvalue_examples():

@@ -66,13 +66,6 @@ def test_numpy_is_the_only_runtime_dependency(path):
     assert sorted(roots - sys.stdlib_module_names - {"numpy"}) == []
 
 
-# public names with no caller in the program, each kept on purpose
-UNCALLED_PUBLIC_NAMES = {
-    "collocation_points": "the reference point set the transform tests compare against",
-    "etdrk4_order_check": "the stepper's fourth-order self-convergence check",
-}
-
-
 def _program_references() -> set[str]:
     """Names the program reads, by name, attribute or string (perfbench patches by
     string), across src/, scripts/ and perfbench/; definitions, imports and
@@ -99,8 +92,6 @@ def test_every_public_name_has_a_caller():
         f"{name}.{n}"
         for name in MODULES
         for n in getattr(importlib.import_module(f"frontks.{name}"), "__all__", [])
-        if n not in refs and n not in UNCALLED_PUBLIC_NAMES
+        if n not in refs
     ]
     assert dead == []
-    # a kept name that gains a caller leaves the list
-    assert sorted(n for n in UNCALLED_PUBLIC_NAMES if n in refs) == []
