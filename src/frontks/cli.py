@@ -98,7 +98,6 @@ KEYS: dict[str, tuple[str, str]] = {
     "k": ("int", "mode index (0 for the mean mode)"),
     "phi": ("float", "front coefficient"),
     "phiy_sq": ("float", "squared-slope coefficient"),
-    "phi_t": ("float", "front time derivative; None: from the front law"),
     "x_min": ("float", "left end of the profile grid"),
     "x_max": ("float", "right end of the profile grid"),
     "x_count": ("int", "number of profile grid points"),
@@ -270,9 +269,7 @@ def _cmd_evolve(equation, cfg) -> tuple[int, dict]:
         "trajectory.csv": (header, np.column_stack([traj.times, traj.coeffs]).tolist()),
         "summary.json": {
             "config": cfg,
-            "times": traj.times,
             "l2": traj.diagnostics["l2"],
-            "mean": traj.diagnostics["mean"],
             "zero_mean_l2": traj.diagnostics["zero_mean_l2"],
             "blown_up": traj.blown_up,
             "blowup_time": traj.blowup_time,
@@ -286,13 +283,11 @@ def _cmd_profiles(cfg) -> tuple[int, dict]:
         raise ConfigError(["key 'k': must be non-negative"])
     if cfg["x_count"] < 1:
         raise ConfigError(["key 'x_count': must be positive"])
-    lam = eigenvalue(cfg["ell"], k)
-    if lam == np.inf:
-        # (2 pi j / ell)^2 past the float range: every profile value would be nan
-        raise ConfigError([f"keys 'ell' and 'k': mode {k} at period {cfg['ell']:g} has no finite eigenvalue"])
-    phi_t = cfg["phi_t"]
-    if phi_t is None:
-        phi_t = front_time_derivative(cfg["alpha"], lam, cfg["phi"], cfg["phiy_sq"])
+    try:
+        lam = eigenvalue(cfg["ell"], k)
+    except ValueError as err:
+        raise ConfigError([f"keys 'ell' and 'k': {err}"]) from None
+    phi_t = front_time_derivative(cfg["alpha"], lam, cfg["phi"], cfg["phiy_sq"])
     data = FrontModeData(
         lambda_k=lam, alpha=cfg["alpha"], phi=cfg["phi"], phi_t=phi_t, phiy_sq=cfg["phiy_sq"]
     )
@@ -317,7 +312,40 @@ def _cmd_profiles(cfg) -> tuple[int, dict]:
 
 
 # ---------------------------------------------------------------------------
-# report studies: run(cfg) -> report dataclass, turned into files by _report_files
+# the study table
+
+
+@dataclass(frozen=True)
+class Study:
+    """One subcommand: its config keys and what it runs.
+
+    ``required`` keys must be set; ``optional`` maps the others to their
+    defaults.  They are the only keys a config file or flag may set, and
+    ``--help`` lists them.  ``run(cfg)`` returns the exit code and the files to write,
+    each name mapped to ``(header, rows)`` for a CSV or to a dict for JSON.
+    A ``run`` looks up the module attributes it calls at call time, so
+    wrappers set on them are seen.
+    """
+
+    required: tuple[str, ...]
+    optional: dict[str, object]
+    run: Callable
+
+
+def _report_study(required, optional, run: Callable, csv: str, columns: dict) -> Study:
+    """A study whose ``run(cfg)`` returns a report that lists its blown-up runs in ``blowups``.
+
+    Its files: the CSV, ``columns`` mapping each header to a report field name
+    or a getter, and report.json, every report field plus the config.  Exit 3 iff a run blew up.
+    """
+
+    def files(cfg) -> tuple[int, dict]:
+        report = run(cfg)
+        values = [c(report) if callable(c) else getattr(report, c) for c in columns.values()]
+        written = {csv: (list(columns), zip(*values)), "report.json": {**vars(report), "config": cfg}}
+        return EXIT_BLOWUP if report.blowups else EXIT_OK, written
+
+    return Study(required, optional, files)
 
 
 def _run_galerkin(cfg) -> xp.GalerkinReport:
@@ -330,42 +358,6 @@ def _run_galerkin(cfg) -> xp.GalerkinReport:
         dt=cfg["dt"],
         output_stride=cfg["output_stride"],
     )
-
-
-def _report_files(study: Study, report, cfg: dict) -> tuple[int, dict]:
-    """CSV from the study's columns; report.json is every report field plus the config.
-
-    Exit 3 iff the report lists a run that blew up.
-    """
-    columns = [c(report) if callable(c) else getattr(report, c) for c in study.columns.values()]
-    files = {study.csv: (list(study.columns), zip(*columns)), "report.json": {**vars(report), "config": cfg}}
-    return EXIT_BLOWUP if report.blowups else EXIT_OK, files
-
-
-# ---------------------------------------------------------------------------
-# the study table
-
-
-@dataclass(frozen=True)
-class Study:
-    """One subcommand: its config keys, what it runs and, for report studies, its CSV.
-
-    ``required`` keys must be set; ``optional`` maps the others to their
-    defaults.  They are the only keys a config file or flag may set, and
-    ``--help`` lists them.  ``run(cfg)`` returns the exit code and the files to write,
-    each name mapped to ``(header, rows)`` for a CSV or to a dict for JSON;
-    with ``csv`` set it returns a report instead, which lists its blown-up
-    runs in ``blowups`` and which ``_report_files`` turns into that pair,
-    ``columns`` mapping each CSV header to a report field name or a getter.
-    A ``run`` looks up the module attributes it calls at call time, so
-    wrappers set on them are seen.
-    """
-
-    required: tuple[str, ...]
-    optional: dict[str, object]
-    run: Callable
-    csv: str | None = None
-    columns: dict[str, str | Callable] | None = None
 
 
 _EVOLVE_DEFAULTS = {
@@ -392,13 +384,16 @@ STUDIES: dict[str, Study] = {
     ),
     "profiles": Study(
         ("ell", "alpha", "k", "phi"),
-        {"phiy_sq": 0.0, "phi_t": None, "x_min": -10.0, "x_max": 5.0, "x_count": 301},
+        {"phiy_sq": 0.0, "x_min": -10.0, "x_max": 5.0, "x_count": 301},
         _cmd_profiles,
     ),
-    "stability-scan": Study(
+    "stability-scan": _report_study(
         ("ell", "n_modes", "alphas", "t_end", "dt"),
         {"amplitude": 1e-4, "seed": 0, "output_stride": 1},
-        lambda cfg: xp.run_stability_scan(**cfg),  # the keys are its parameters
+        lambda cfg: xp.run_stability_scan(
+            random_zero_mean_field(make_grid(cfg["ell"], cfg["n_modes"]), cfg["amplitude"], cfg["seed"]),
+            cfg["alphas"], cfg["t_end"], cfg["dt"], cfg["output_stride"],
+        ),
         "scan.csv",
         {
             "alpha": "alphas",
@@ -407,7 +402,7 @@ STUDIES: dict[str, Study] = {
             "verdict": "verdicts",
         },
     ),
-    "convergence": Study(
+    "convergence": _report_study(
         ("ell0", "n_modes", "t_end", "epsilons", "dt"),
         {"amplitude": 0.1, "harmonic": 1, "output_stride": 10},
         lambda cfg: xp.run_convergence_study(
@@ -416,7 +411,7 @@ STUDIES: dict[str, Study] = {
         "convergence.csv",
         {"epsilon": "epsilons", "sup_error": "sup_errors", "ratio": "ratios", "zeta_sup_l2": "zeta_sup_l2"},
     ),
-    "energy": Study(
+    "energy": _report_study(
         ("ell0", "n_modes", "epsilon", "t_end", "dt"),
         {"amplitude": 0.1, "harmonic": 1, "output_stride": 10},
         lambda cfg: xp.run_energy_monitor(
@@ -425,7 +420,7 @@ STUDIES: dict[str, Study] = {
         "energy.csv",
         {"tau": "times", "energy": "values"},
     ),
-    "ks-apriori": Study(
+    "ks-apriori": _report_study(
         ("ell0", "n_modes", "t_end", "dt"),
         {"amplitude": 0.1, "harmonic": 1, "output_stride": 10},
         lambda cfg: xp.run_ks_apriori_check(_initial_field(cfg), cfg["t_end"], cfg["dt"], cfg["output_stride"]),
@@ -438,7 +433,7 @@ STUDIES: dict[str, Study] = {
             "mean_bound": "mean_bounds",
         },
     ),
-    "galerkin": Study(
+    "galerkin": _report_study(
         ("ell", "n_list", "t_end", "dt"),
         {"equation": "ks", "alpha": None, "epsilon": None, "amplitude": 1.0, "harmonic": 1, "output_stride": 10},
         _run_galerkin,
@@ -474,7 +469,7 @@ def main(argv=None) -> int:
         flags = read_flags(argv[1:])
         out = flags.pop("out", None)
         cfg = resolve_config(study, flags, flags.pop("config", None))
-        code, files = _report_files(study, study.run(cfg), cfg) if study.csv else study.run(cfg)
+        code, files = study.run(cfg)
         # made only now, so a run that fails leaves no directory behind
         outdir = _output_dir(out, argv[0])
         # a reused --out may hold only the files this run rewrites, so two runs never mix

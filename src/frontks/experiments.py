@@ -23,7 +23,7 @@ from .evolve import (
     make_ks_equation,
     make_rescaled_equation,
 )
-from .grid import SpectralField, _pack, make_grid, random_zero_mean_field, slope_energy_weights
+from .grid import SpectralField, _pack, make_grid, slope_energy_weights
 from .symbols import alpha_critical, build_rescaled_symbols
 
 __all__ = [
@@ -90,29 +90,23 @@ class StabilityScanReport:
 
 
 def run_stability_scan(
-    ell: float,
+    phi0: SpectralField,
     alphas,
-    amplitude: float,
     t_end: float,
-    n_modes: int,
     dt: float,
-    seed: int = 0,
     output_stride: int = 1,
 ) -> StabilityScanReport:
-    """Evolve the front equation across alphas and classify the null solution.
+    """Evolve the front equation from phi0 across alphas and classify the null solution.
 
-    The same seeded zero-mean initial field is reused for every alpha so
-    verdict flips are attributable to the parameter alone.
+    The one initial field of every alpha ties verdict flips to the parameter alone.
     """
     alphas = np.asarray(list(alphas), dtype=float)
-    if amplitude == 0:
+    if not np.any(phi0.coeffs):
         # the zero field is the null solution itself: nothing would be perturbed
         raise ValueError("amplitude must be non-zero")
-    grid = make_grid(ell, n_modes)
-    ic = random_zero_mean_field(grid, amplitude, seed)
-    a_c = alpha_critical(ell)
+    a_c = alpha_critical(phi0.grid.period)
     configs = [
-        (float(alpha), SolverConfig(make_front_equation(alpha, grid), ic, dt, t_end, output_stride))
+        (float(alpha), SolverConfig(make_front_equation(alpha, phi0.grid), phi0, dt, t_end, output_stride))
         for alpha in alphas
     ]
     measured, predicted, verdicts, anomalies, blowups = [], [], [], [], []

@@ -43,6 +43,9 @@ __all__ = [
 
 _SQRT2 = np.sqrt(2.0)
 
+# the largest eigenvalue of a mode: every stiffness is quadratic in lam, and 4 lam^2 stays within a quarter of the float range
+MAX_EIGENVALUE = float(np.sqrt(np.finfo(float).max)) / 4.0
+
 
 def _fft_friendly(n: int) -> int:
     """Smallest even count >= the even count n whose prime factors are all <= 5.
@@ -147,6 +150,9 @@ def eigenvalue(period: float, k):
     """lam_k = (2 pi j / L)^2 of mode k in harmonic j = (k+1)//2; k is an int or an int array."""
     if not 0 < period < np.inf:
         raise ValueError(f"period must be positive and finite, got {period}")
+    # the harmonic against the bound's, so nothing overflows even for a huge int k
+    if (np.max(k, initial=0) + 1) // 2 > period * MAX_EIGENVALUE**0.5 / (2.0 * np.pi):
+        raise ValueError(f"mode {np.max(k)} at period {period:g} has an eigenvalue above {MAX_EIGENVALUE:.3g}")
     q = 2.0 * np.pi * ((k + 1) // 2) / period
     return q * q
 

@@ -21,7 +21,7 @@ from frontks.experiments import (
     run_ks_apriori_check,
     run_stability_scan,
 )
-from frontks.grid import SpectralField, cosine_field, make_grid
+from frontks.grid import SpectralField, cosine_field, make_grid, random_zero_mean_field
 from frontks.profiles import FrontModeData, front_time_derivative, jump_residuals, reconstruct_profile
 from frontks.evolve import make_ks_equation
 from frontks.symbols import alpha_critical, build_rescaled_symbols, build_symbols
@@ -79,13 +79,10 @@ def threshold_scan():
     with recorded_runs() as runs:
         start = time.perf_counter()
         report = run_stability_scan(
-            ell=4 * np.pi,
+            random_zero_mean_field(make_grid(4 * np.pi, 64), 1e-4, 7),
             alphas=[1.9, 2.1],
-            amplitude=1e-4,
             t_end=160.0,
-            n_modes=64,
             dt=0.01,
-            seed=7,
             output_stride=1,
         )
         elapsed = time.perf_counter() - start

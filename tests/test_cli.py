@@ -192,7 +192,7 @@ def test_flags_are_read_as_config_lines(how, argv, want, tmp_path, capsys):
 
 def test_numerical_failure_is_not_a_config_error(tmp_path, monkeypatch):
     # LinAlgError subclasses ValueError; exit 2 stays reserved for bad configs
-    def fail(**cfg):
+    def fail(*args):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(frontks.experiments, "run_stability_scan", fail)
@@ -424,6 +424,39 @@ def test_profiles_rejects_a_period_whose_eigenvalue_overflows(tmp_path, capsys):
     [violation] = json.loads(capsys.readouterr().err)["violations"]
     assert "'ell'" in violation and "'k'" in violation
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ell", "1e-100", "--k", "1"],
+    ["--ell", "6.28", "--k", "1" + "0" * 400],
+], ids=["short-period", "huge-k"])
+def test_profiles_rejects_a_mode_above_the_eigenvalue_bound(argv, tmp_path, capsys):
+    # 4 lam^2 past the float range: phi_t from the front law, and so every residual, would not be finite
+    out = tmp_path / "prof"
+    assert main(["profiles", *argv, "--alpha", "1", "--phi", "1", "--out", str(out)]) == EXIT_CONFIG
+    [violation] = json.loads(capsys.readouterr().err)["violations"]
+    assert "'ell'" in violation and "'k'" in violation
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["symbols", "--ell", "1e-100", "--n-modes", "3", "--alpha", "1"],
+    ["symbols", "--ell", "1e-300", "--n-modes", "3", "--epsilon", "0.5"],
+    ["stability-scan", "--ell", "1e-300", "--n-modes", "5", "--alphas", "1", "--t-end", "0.1", "--dt", "0.1"],
+    ["stability-scan", "--ell", "1e-100", "--n-modes", "5", "--alphas", "1", "--t-end", "0.1", "--dt", "0.1"],
+    ["evolve-ks", "--ell0", "1e-300", "--n-modes", "5", "--t-end", "0.1", "--dt", "0.1"],
+    ["galerkin", "--ell", "1e-300", "--n-list", "5,7", "--t-end", "0.1", "--dt", "0.1"],
+], ids=["symbols-alpha", "symbols-epsilon", "scan-1e-300", "scan-1e-100", "evolve-ks", "galerkin"])
+def test_a_period_too_short_for_floats_is_a_config_error(argv, tmp_path, monkeypatch, capsys):
+    # the stiffness is quadratic in lam: past the bound the tables and runs would hold inf and nan
+    evolved = []
+    for module in (frontks.cli, frontks.experiments):
+        monkeypatch.setattr(module, "evolve", lambda config: evolved.append(config))
+    assert main([*argv, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    [violation] = json.loads(capsys.readouterr().err)["violations"]
+    assert "has an eigenvalue above" in violation
+    assert evolved == []
+    assert not (tmp_path / "run").exists()
 
 
 def test_profiles_rejects_an_empty_grid_before_writing(tmp_path, capsys):
@@ -877,7 +910,7 @@ CONFIG_SURFACE = {
     "evolve-rescaled": (["ell0", "epsilon", "n_modes", "t_end", "dt"], _EVOLVE_DEFAULTS),
     "profiles": (
         ["ell", "alpha", "k", "phi"],
-        {"phiy_sq": 0.0, "phi_t": None, "x_min": -10.0, "x_max": 5.0, "x_count": 301},
+        {"phiy_sq": 0.0, "x_min": -10.0, "x_max": 5.0, "x_count": 301},
     ),
     "stability-scan": (
         ["ell", "n_modes", "alphas", "t_end", "dt"],

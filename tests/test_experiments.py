@@ -20,6 +20,7 @@ from frontks.grid import (
     cosine_field,
     differentiate,
     make_grid,
+    random_zero_mean_field,
 )
 from frontks.symbols import build_rescaled_symbols
 
@@ -33,10 +34,8 @@ def test_threshold_bracketing_scan():
     """0.1-spaced scan across the critical parameter: one verdict flip, in the
     bracketing pair, nowhere else."""
     alphas = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
-    report = run_stability_scan(
-        ell=4 * np.pi, alphas=alphas, amplitude=1e-5, t_end=60.0,
-        n_modes=32, dt=0.1, seed=1,
-    )
+    phi0 = random_zero_mean_field(make_grid(4 * np.pi, 32), 1e-5, 1)
+    report = run_stability_scan(phi0, alphas=alphas, t_end=60.0, dt=0.1)
     assert report.alpha_c == pytest.approx(2.0)
     verdicts = report.verdicts
     for a, v in zip(report.alphas, verdicts):
@@ -55,26 +54,19 @@ def test_threshold_bracketing_scan():
 
 def test_scan_reports_blowup_as_anomaly_not_crash():
     # grossly oversized step + huge data force the integrator off the rails
-    report = run_stability_scan(
-        ell=4 * np.pi, alphas=[1.5], amplitude=1e3, t_end=50.0,
-        n_modes=32, dt=5.0, seed=0,
-    )
+    phi0 = random_zero_mean_field(make_grid(4 * np.pi, 32), 1e3, 0)
+    report = run_stability_scan(phi0, alphas=[1.5], t_end=50.0, dt=5.0)
     assert len(report.anomalies) == 1
     assert "nominally stable" in report.anomalies[0]
 
 
-def test_scan_does_not_change_when_its_initial_field_is_shifted_by_half_a_period(monkeypatch):
+def test_scan_does_not_change_when_its_initial_field_is_shifted_by_half_a_period():
     # f(y - L/2) flips the sign of every odd harmonic; the equation cannot tell the two apart
-    scan = dict(ell=4 * np.pi, alphas=[1.0, 1.3, 1.6, 1.9, 8.0, 9.0, 10.0, 12.0], amplitude=1e-4,
-                t_end=1.0, n_modes=64, dt=0.01, seed=3)
-    plain = run_stability_scan(**scan)
-
-    def shifted(grid, amplitude, seed, _field=frontks.experiments.random_zero_mean_field):
-        coeffs = _field(grid, amplitude, seed).coeffs
-        return SpectralField(grid, coeffs * (-1.0) ** ((np.arange(grid.n_modes) + 1) // 2))
-
-    monkeypatch.setattr(frontks.experiments, "random_zero_mean_field", shifted)
-    moved = run_stability_scan(**scan)
+    field = random_zero_mean_field(make_grid(4 * np.pi, 64), 1e-4, 3)
+    shifted = SpectralField(field.grid, field.coeffs * (-1.0) ** ((np.arange(field.grid.n_modes) + 1) // 2))
+    scan = dict(alphas=[1.0, 1.3, 1.6, 1.9, 8.0, 9.0, 10.0, 12.0], t_end=1.0, dt=0.01)
+    plain = run_stability_scan(field, **scan)
+    moved = run_stability_scan(shifted, **scan)
     assert moved.verdicts == plain.verdicts == ["stable"] * 4 + ["unstable"] * 4
     np.testing.assert_allclose(moved.measured_rates, plain.measured_rates, rtol=1e-12, atol=0)
     assert moved.anomalies == plain.anomalies == []
@@ -86,7 +78,7 @@ def test_scan_rejects_a_bad_alpha_before_evolving(bad, monkeypatch):
     evolved = []
     monkeypatch.setattr(frontks.experiments, "evolve", evolved.append)
     with pytest.raises(ValueError, match="alpha must be positive and finite"):
-        run_stability_scan(ell=4 * np.pi, alphas=[1.5, bad], amplitude=1e-4, t_end=1.0, n_modes=16, dt=0.1)
+        run_stability_scan(random_zero_mean_field(make_grid(4 * np.pi, 16), 1e-4, 0), [1.5, bad], 1.0, 0.1)
     assert evolved == []
 
 

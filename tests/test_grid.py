@@ -62,6 +62,16 @@ def test_eigenvalue_of_one_mode_is_the_grids_bit_for_bit(k):
             assert eigenvalue(period, k) == make_grid(period, n).eigenvalues[k], (period, n)
 
 
+@pytest.mark.parametrize("period,k", [(1e-300, 1), (1e-100, 2), (TWO_PI, 10**400)], ids=["lam-inf", "short", "huge-k"])
+def test_eigenvalue_above_the_bound_is_rejected_without_overflow(period, k):
+    # 10**400 has no float, and at period 1e-300 lam itself would pass the float range
+    with pytest.raises(ValueError, match=f"mode {k} at period {period:g} has an eigenvalue above"):
+        eigenvalue(period, k)
+    if k < 3:
+        with pytest.raises(ValueError, match=f"mode 2 at period {period:g} has an eigenvalue above"):
+            make_grid(period, 3)
+
+
 def test_grid_points_even_and_sufficient():
     for n in range(3, 301):
         grid = make_grid(1.0, n)

@@ -1,12 +1,14 @@
 """Symbol engine: closed forms, identities, threshold, rescaled bounds."""
 
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontks.grid import make_grid
+from frontks.grid import MAX_EIGENVALUE, make_grid
 from frontks.profiles import front_time_derivative
 from frontks.symbols import (
     alpha_critical,
@@ -240,3 +242,19 @@ def test_rescaled_invariants_randomised(eps, ell):
     env = 2 * np.sqrt(eps) * lam[pos] ** 1.5 + 25 * lam[pos]
     assert np.all(np.abs(t.quad_correction[pos]) <= env)
     assert np.all(t.stiffness == -lam * (4 * lam - 1.0))
+
+
+def test_symbols_stay_finite_up_to_the_eigenvalue_bound():
+    # the shortest period a first harmonic allows: 4 lam^2 of the stiffness is then near the float range
+    period = TWO_PI / MAX_EIGENVALUE**0.5 * (1 + 1e-15)
+    grid = make_grid(period, 3)
+    assert grid.eigenvalues[-1] <= MAX_EIGENVALUE
+    tables = [build_symbols(alpha, grid) for alpha in (0.01, 1.0, 1e3)]
+    tables += [build_rescaled_symbols(eps, grid) for eps in (1e-8, 0.5, 1.0)]
+    for table in tables:
+        for field in dataclasses.fields(table):
+            value = getattr(table, field.name)
+            if isinstance(value, np.ndarray):
+                assert np.all(np.isfinite(value)), (table, field.name)
+    with pytest.raises(ValueError, match="eigenvalue above"):
+        make_grid(period * (1 - 1e-14), 3)
