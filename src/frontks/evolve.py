@@ -113,6 +113,8 @@ class Etdrk4:
         self.descriptor = descriptor
         self.dt = float(dt)
         z = dt * descriptor.linear_symbol
+        if np.max(np.abs(z)) >= 1e100:  # _phi takes z**3, finite below about 5.6e102
+            raise ValueError(f"max |dt * L| is {np.max(np.abs(z)):.3g}, but the stepper needs it below 1e100")
         self.exp_full = np.exp(z)
         self.exp_half = np.exp(0.5 * z)
         # the phi functions once per distinct z (each cos/sin pair shares one),

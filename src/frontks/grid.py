@@ -45,6 +45,8 @@ _SQRT2 = np.sqrt(2.0)
 
 # the largest eigenvalue of a mode: every stiffness is quadratic in lam, and 4 lam^2 stays within a quarter of the float range
 MAX_EIGENVALUE = float(np.sqrt(np.finfo(float).max)) / 4.0
+# the longest period: lam_1 = (2 pi / L)^2 stays a normal float, not 0
+MAX_PERIOD = 2.0 * np.pi / float(np.sqrt(np.finfo(float).tiny))
 
 
 def _fft_friendly(n: int) -> int:
@@ -148,8 +150,8 @@ def make_grid(period: float, n_modes: int) -> SpectralGrid:
 
 def eigenvalue(period: float, k):
     """lam_k = (2 pi j / L)^2 of mode k in harmonic j = (k+1)//2; k is an int or an int array."""
-    if not 0 < period < np.inf:
-        raise ValueError(f"period must be positive and finite, got {period}")
+    if not 0 < period <= MAX_PERIOD:
+        raise ValueError(f"period must be positive and at most {MAX_PERIOD:.3g}, got {period}")
     # the harmonic against the bound's, so nothing overflows even for a huge int k
     if (np.max(k, initial=0) + 1) // 2 > period * MAX_EIGENVALUE**0.5 / (2.0 * np.pi):
         raise ValueError(f"mode {np.max(k)} at period {period:g} has an eigenvalue above {MAX_EIGENVALUE:.3g}")

@@ -124,13 +124,9 @@ def reconstruct_profile(data: FrontModeData, x_points: np.ndarray) -> ProfileSli
     nu = 0.5 * (1.0 + root)
     nu_m1 = 2.0 * lam / (1.0 + root)  # nu - 1, factored so small lam keeps its digits
     om = 1.0 - 2.0 * nu  # = -root, never zero
-    # the free constants, linear in the front data (and in alpha)
-    c1 = float((alpha / om) * (1.0 + nu + nu / om + lam / nu) * p + (alpha / om) * (
-        1.0 / lam + 2.0 * nu / lam + 1.0 / nu + nu / (om * lam)
-    ) * w)
-    c2 = float((alpha / om) * (2.0 + nu / om + lam / nu - nu) * p - (alpha / om) * (
-        2.0 * nu / lam - 3.0 / lam - nu / (om * lam) - 1.0 / nu
-    ) * w)
+    # the free constants, linear in the front data, reduced by nu^2 = nu + lam: no O(1/lam) terms cancel
+    c1 = float(alpha / root**2 * (nu * (1.0 - 2.0 * root) * p + (1.0 - 3.0 * root) * w / nu_m1))
+    c2 = float(alpha * nu_m1 / root**2 * (2.0 * w / nu - p))
 
     enu = np.exp(nu * xm)
     # u = (T1/lam)(e^x - e^(nu x)); difference via expm1 to keep x ~ 0 accurate

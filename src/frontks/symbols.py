@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SpectralGrid
+from .grid import SpectralGrid, eigenvalue
 
 __all__ = [
     "SymbolTable",
@@ -86,10 +86,8 @@ def build_symbols(alpha: float, grid: SpectralGrid) -> SymbolTable:
 
 
 def alpha_critical(ell: float) -> float:
-    """Instability threshold in alpha for period ell: 1 + 16 pi^2 / ell^2."""
-    if not 0 < ell < np.inf:
-        raise ValueError(f"period must be positive and finite, got {ell}")
-    return 1.0 + 16.0 * np.pi**2 / ell**2
+    """Instability threshold in alpha for period ell: the stiffness of mode 1 vanishes at 1 + 4 lam_1."""
+    return 1.0 + 4.0 * eigenvalue(ell, 1)
 
 
 def build_rescaled_symbols(epsilon: float, grid: SpectralGrid) -> RescaledSymbolTable:
@@ -117,7 +115,7 @@ class SymbolBoundsReport:
     epsilon: float
     max_mass_correction_ratio: float    # max |h|/lam, bound 6 + 2 eps
     max_quad_correction_ratio: float    # max |m|/(2 sqrt(eps) lam^(3/2) + 25 lam), bound 1
-    min_mass_slack: float               # min (b - 4 eps lam - 1), bound >= 0
+    min_mass_slack: float               # min eps (h - 4 lam) = min (b - 1 - 4 eps lam), bound >= 0
     min_sqrt_shift: float               # min r, bound >= 0
     mass_correction_ok: bool
     quad_correction_ok: bool
@@ -142,7 +140,7 @@ def verify_symbol_bounds(table: RescaledSymbolTable) -> SymbolBoundsReport:
     h_ratio = float(np.max(np.abs(table.mass_correction[pos]) / lam[pos]))
     m_env = 2.0 * np.sqrt(eps) * lam[pos] ** 1.5 + 25.0 * lam[pos]
     m_ratio = float(np.max(np.abs(table.quad_correction[pos]) / m_env))
-    slack = float(np.min(table.mass - 4.0 * eps * lam - 1.0))
+    slack = float(np.min(eps * (table.mass_correction - 4.0 * lam)))
     rmin = float(np.min(table.sqrt_shift))
     return SymbolBoundsReport(
         epsilon=eps,

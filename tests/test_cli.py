@@ -79,6 +79,14 @@ def test_symbols_epsilon_writes_the_symbol_bounds(epsilon, tmp_path):
     assert len(flags) == 5 and all(v is True for v in flags.values())
 
 
+def test_symbols_epsilon_keeps_the_mass_slack_at_a_short_period(tmp_path):
+    # 4 eps lam ~ 1.6e41 at ell = 1e-20: b - 1 - 4 eps lam would lose the 1 and report -1
+    out = tmp_path / "sym"
+    assert main(["symbols", "--ell", "1e-20", "--n-modes", "3", "--epsilon", "1", "--out", str(out)]) == EXIT_OK
+    bounds = json.loads((out / "bounds.json").read_text())
+    assert bounds["min_mass_slack"] >= 0.0 and bounds["all_ok"] is True
+
+
 def test_symbols_alpha_writes_only_the_table(tmp_path):
     out = tmp_path / "sym"
     assert main(["symbols", "--ell", "6.2832", "--n-modes", "8", "--alpha", "1.0", "--out", str(out)]) == EXIT_OK
@@ -411,7 +419,7 @@ def test_profiles_at_a_long_period_reports_its_residuals(tmp_path):
     res = json.loads((out / "residuals.json").read_text())
     residuals = [res[key] for key in ("boundary_residual", "flux_residual", "v_continuity")]
     assert all(math.isfinite(r) for r in residuals)
-    # c1 and c2 are differences of O(1/lam) terms, so about 1e-16/lam of them is round-off
+    # v(0-) and v_x(0-) are sums of O(1/lam) terms, so about 1e-16/lam of them is round-off
     assert max(residuals) < 1e-4
     header, rows = _read_csv(out / "profile.csv")
     assert len(rows) == 301 and all(math.isfinite(float(v)) for row in rows for v in row)
@@ -457,6 +465,24 @@ def test_a_period_too_short_for_floats_is_a_config_error(argv, tmp_path, monkeyp
     assert "has an eigenvalue above" in violation
     assert evolved == []
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["profiles", "--ell", "1e200", "--alpha", "1", "--k", "1", "--phi", "1"], "period must be positive"),
+    (["stability-scan", "--ell", "1e200", "--n-modes", "5", "--alphas", "1", "--t-end", "0.1", "--dt", "0.1"],
+     "period must be positive"),
+    (["evolve-ks", "--ell0", "1e200", "--n-modes", "5", "--t-end", "0.1", "--dt", "0.1"], "period must be positive"),
+    (["evolve-ks", "--ell0", "1e-60", "--n-modes", "5", "--t-end", "0.1", "--dt", "0.1"], "below 1e100"),
+    (["evolve-front", "--ell", "1e-60", "--alpha", "1", "--n-modes", "5", "--t-end", "0.1", "--dt", "0.1"],
+     "below 1e100"),
+], ids=["profiles-long", "scan-long", "evolve-ks-long", "evolve-ks-stiff", "evolve-front-stiff"])
+def test_a_period_whose_numbers_leave_the_floats_is_a_config_error(argv, message, tmp_path, capsys):
+    # at 1e200 lam_1 underflows to 0; at 1e-60 the stepper's z**3 of z = dt L overflows
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    [violation] = json.loads(capsys.readouterr().err)["violations"]
+    assert message in violation
+    assert not out.exists()
 
 
 def test_profiles_rejects_an_empty_grid_before_writing(tmp_path, capsys):

@@ -214,6 +214,16 @@ def test_stepper_coefficients_match_50_digit_phi_functions(z, tol):
     assert np.max(np.abs(got - want) / np.abs(want)) <= tol
 
 
+def test_stepper_rejects_a_symbol_whose_cube_overflows():
+    # _phi divides by z**3 of z = dt L: finite up to |z| ~ 5.6e102, nan coefficients past it
+    dt = 0.5
+    grid = make_grid(TWO_PI, 3)
+    stiff = Etdrk4(EquationDescriptor(grid, np.array([0.0, -1.0, -9.9e99]) / dt, np.zeros(3)), dt)
+    assert all(np.all(np.isfinite(c)) for c in (stiff.coeff_q, stiff.coeff_f1, stiff.coeff_f2, stiff.coeff_f3))
+    with pytest.raises(ValueError, match="below 1e100"):
+        Etdrk4(EquationDescriptor(grid, np.array([0.0, -1.0, -1e100]) / dt, np.zeros(3)), dt)
+
+
 @pytest.mark.parametrize(
     "desc,dt",
     [

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontks.grid import (
+    MAX_PERIOD,
     SpectralGrid,
     cosine_field,
     dealiased_square,
@@ -70,6 +71,14 @@ def test_eigenvalue_above_the_bound_is_rejected_without_overflow(period, k):
     if k < 3:
         with pytest.raises(ValueError, match=f"mode 2 at period {period:g} has an eigenvalue above"):
             make_grid(period, 3)
+
+
+def test_the_longest_period_keeps_lam_1_a_normal_float():
+    # past MAX_PERIOD, lam_1 = (2 pi / L)^2 would lose digits and then underflow to the mean mode's 0
+    assert eigenvalue(MAX_PERIOD, 1) == np.finfo(float).tiny
+    for period in (np.nextafter(MAX_PERIOD, np.inf), 1e200, np.inf, np.nan):
+        with pytest.raises(ValueError, match="period must be positive"):
+            eigenvalue(period, 1)
 
 
 def test_grid_points_even_and_sufficient():

@@ -190,6 +190,19 @@ def test_zero_data_gives_zero_residuals():
     assert res.flux_residual == 0.0
 
 
+def _printed_constants(lam, alpha, phi, w):
+    """(c1, c2) of mpf inputs as the derivation prints them: O(1/lam) terms that cancel down to c2 = O(lam)."""
+    nu = (1 + mp.sqrt(1 + 4 * lam)) / 2
+    om = 1 - 2 * nu
+    c1 = (alpha / om) * (1 + nu + nu / om + lam / nu) * phi + (alpha / om) * (
+        1 / lam + 2 * nu / lam + 1 / nu + nu / (om * lam)
+    ) * w
+    c2 = (alpha / om) * (2 + nu / om + lam / nu - nu) * phi - (alpha / om) * (
+        2 * nu / lam - 3 / lam - nu / (om * lam) - 1 / nu
+    ) * w
+    return c1, c2
+
+
 def test_against_full_extended_precision_pipeline():
     """Re-derive coefficients, limits and residuals at 50 digits and compare."""
     mp.mp.dps = 50
@@ -201,13 +214,7 @@ def test_against_full_extended_precision_pipeline():
     f = (x**3 - 3 * x**2 - 4 * alpha * x + 4 * alpha) / 4
     phi_t = (s / b) * phi + (f / b) * q
     w = phi_t + q
-    om = 1 - 2 * nu
-    c1 = (alpha / om) * (1 + nu + nu / om + lam / nu) * phi + (alpha / om) * (
-        1 / lam + 2 * nu / lam + 1 / nu + nu / (om * lam)
-    ) * w
-    c2 = (alpha / om) * (2 + nu / om + lam / nu - nu) * phi - (alpha / om) * (
-        2 * nu / lam - 3 / lam - nu / (om * lam) - 1 / nu
-    ) * w
+    c1, c2 = _printed_constants(lam, alpha, phi, w)
 
     data = FrontModeData(
         lambda_k=float(lam), alpha=float(alpha), phi=float(phi), phi_t=float(phi_t), phiy_sq=float(q)
@@ -233,5 +240,20 @@ def test_a_long_period_keeps_the_front_slope_and_the_temperature_digits():
     assert sl.u_x_left == pytest.approx(float(-t1 / nu), rel=1e-14)
     assert sl.u_values[0] == pytest.approx(float((t1 / lam) * (mp.e**x - mp.e ** (nu * x))), rel=1e-12)
     res = jump_residuals(sl, data)
-    # c1 and c2 are differences of O(1/lam) terms: about lam^-1 * 1e-16 is left of them
+    # v(0-) and v_x(0-) are sums of O(1/lam) terms: about lam^-1 * 1e-16 is left of them
     assert res.boundary_residual < 1e-4 and res.flux_residual < 1e-4
+
+
+@pytest.mark.parametrize("ell", [1e3, 1e6, 1e8])
+def test_long_period_constants_match_the_printed_forms_to_round_off(ell):
+    # at 60 digits the printed forms keep c2 through their cancellation
+    lam = (2 * np.pi / ell) ** 2
+    data = _data(lam, 1.0, 1.0, 0.3)
+    coefficients = _coefficients(data)
+    with mp.workdps(60):
+        w = mp.mpf(data.phi_t) + mp.mpf(data.phiy_sq)
+        c1, c2 = _printed_constants(mp.mpf(lam), mp.mpf(data.alpha), mp.mpf(data.phi), w)
+        assert abs(coefficients.c1 / c1 - 1) < 1e-14
+        assert abs(coefficients.c2 / c2 - 1) < 1e-14
+    # c2 = v(0+) and u_x(0-) carry no O(1/lam) terms, so the front law holds to round-off
+    assert jump_residuals(reconstruct_profile(data, np.array([0.0])), data).boundary_residual <= 1e-15
