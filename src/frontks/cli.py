@@ -34,12 +34,6 @@ from .evolve import (
     make_rescaled_equation,
 )
 from .grid import SpectralField, cosine_field, eigenvalue, make_grid, random_zero_mean_field
-from .profiles import (
-    FrontModeData,
-    front_time_derivative,
-    jump_residuals,
-    reconstruct_profile,
-)
 from .symbols import build_rescaled_symbols, build_symbols, verify_symbol_bounds
 
 EXIT_OK = 0
@@ -278,6 +272,8 @@ def _cmd_evolve(equation, cfg) -> tuple[int, dict]:
 
 
 def _cmd_profiles(cfg) -> tuple[int, dict]:
+    from .profiles import FrontModeData, front_time_derivative, jump_residuals, reconstruct_profile
+
     k = cfg["k"]
     if k < 0:
         raise ConfigError(["key 'k': must be non-negative"])

@@ -75,7 +75,7 @@ def _phi(z):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquationDescriptor:
     """Diagonal linear symbol + quadratic-output symbol defining one equation."""
 
@@ -191,7 +191,7 @@ class Etdrk4:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverConfig:
     descriptor: EquationDescriptor
     initial_condition: SpectralField
@@ -219,7 +219,7 @@ class SolverConfig:
             raise ValueError("initial condition lives on a different grid")
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Snapshots of one run: times, coefficient matrix and per-snapshot scalars."""
 

@@ -78,7 +78,7 @@ def measured_growth_rate(trajectory: Trajectory) -> float:
     return float(np.polyfit(times[sel], np.log(norms[sel]), 1)[0])
 
 
-@dataclass
+@dataclass(eq=False)
 class StabilityScanReport:
     alpha_c: float
     alphas: np.ndarray
@@ -137,7 +137,7 @@ def run_stability_scan(
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class ConvergenceReport:
     epsilons: np.ndarray
     sup_errors: np.ndarray   # sup over snapshots and collocation points of |psi_eps - Phi|, nan on blowup
@@ -197,7 +197,7 @@ def run_convergence_study(
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class EnergyTrace:
     times: np.ndarray
     values: np.ndarray  # the weighted remainder energy at each snapshot
@@ -247,7 +247,7 @@ def run_energy_monitor(
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class KsAprioriReport:
     times: np.ndarray
     slope_norms: np.ndarray    # |Phi_eta(tau)|_2
@@ -288,7 +288,7 @@ def run_ks_apriori_check(
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class GalerkinReport:
     n_list: list[int]
     final_diffs: np.ndarray  # L2 gap between consecutive truncations' t_end states, nan on blowup

@@ -128,7 +128,7 @@ class SpectralGrid:
         return np.ascontiguousarray(slope.T), values / self.n_points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralField:
     """Coefficient vector of a real periodic function in the grid's eigenbasis."""
 

@@ -77,7 +77,7 @@ class ProfileCoefficients:
     nu: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProfileSlice:
     """Profiles sampled on x_points, the one-sided limits at the front and,
     for lam > 0, the free constants (None for the mean mode)."""

@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolTable:
     """Per-mode multipliers of the unrescaled front equation at parameter alpha."""
 
@@ -51,7 +51,7 @@ class SymbolTable:
     quad_gain: np.ndarray      # g = f/b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RescaledSymbolTable:
     """Per-mode multipliers of the slow-scale equation at parameter eps in (0, 1]."""
 
@@ -114,7 +114,7 @@ class SymbolBoundsReport:
 
     epsilon: float
     max_mass_correction_ratio: float    # max |h|/lam, bound 6 + 2 eps
-    max_quad_correction_ratio: float    # max |m|/(2 sqrt(eps) lam^(3/2) + 25 lam), bound 1
+    max_quad_correction_ratio: float    # max |m|/(2 sqrt(eps) lam^(3/2) + 25 lam), bound 1, from the slack
     min_mass_slack: float               # min eps (h - 4 lam) = min (b - 1 - 4 eps lam), bound >= 0
     min_sqrt_shift: float               # min r, bound >= 0
     mass_correction_ok: bool
@@ -138,8 +138,19 @@ def verify_symbol_bounds(table: RescaledSymbolTable) -> SymbolBoundsReport:
     lam = table.grid.eigenvalues
     pos = lam > 0
     h_ratio = float(np.max(np.abs(table.mass_correction[pos]) / lam[pos]))
-    m_env = 2.0 * np.sqrt(eps) * lam[pos] ** 1.5 + 25.0 * lam[pos]
-    m_ratio = float(np.max(np.abs(table.quad_correction[pos]) / m_env))
+    # over lam/(x + 1), m is q = r^2 - 7 - 4 eps and its envelope is (x + 1)(ab + 25), with
+    # a = sqrt(r), b = sqrt(x + 1), ab = 2 sqrt(eps lam).  At short periods |m| agrees with the
+    # envelope to every float digit, so the slack is formed from r and x: for q >= 0 its
+    # leading part (x + 1) ab - r^2 = a (b^3 - a^3) is 2a (a^2 + ab + b^2)/(a + b)
+    r, xp1 = table.sqrt_shift[pos], table.sqrt_factor[pos] + 1.0
+    a, b = np.sqrt(r), np.sqrt(xp1)
+    q = r * r - 7.0 - 4.0 * eps
+    m_slack = np.where(
+        q >= 0.0,
+        2.0 * a * (r + a * b + xp1) / (a + b) + 25.0 * xp1 + 7.0 + 4.0 * eps,
+        xp1 * (a * b + 25.0) + q,
+    )
+    m_ratio = float(np.max(np.abs(q) / (np.abs(q) + m_slack)))
     slack = float(np.min(eps * (table.mass_correction - 4.0 * lam)))
     rmin = float(np.min(table.sqrt_shift))
     return SymbolBoundsReport(
@@ -149,7 +160,7 @@ def verify_symbol_bounds(table: RescaledSymbolTable) -> SymbolBoundsReport:
         min_mass_slack=slack,
         min_sqrt_shift=rmin,
         mass_correction_ok=h_ratio <= 6.0 + 2.0 * eps,
-        quad_correction_ok=m_ratio <= 1.0,
+        quad_correction_ok=bool(np.all(m_slack >= 0.0)),
         mass_slack_ok=slack >= -1e-15,
         sqrt_shift_ok=rmin >= 0.0,
     )

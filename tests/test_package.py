@@ -1,14 +1,32 @@
 """Package hygiene: public names resolve and are used, and no module carries a dead import."""
 
 import ast
+import functools
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
 import sys
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import frontks
+from frontks import (
+    EquationDescriptor,
+    RescaledSymbolTable,
+    SolverConfig,
+    SpectralField,
+    SymbolTable,
+    Trajectory,
+    build_rescaled_symbols,
+    build_symbols,
+    cosine_field,
+    make_grid,
+    make_ks_equation,
+)
 
 PACKAGE_DIR = pathlib.Path(frontks.__file__).parent
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -95,3 +113,73 @@ def test_every_public_name_has_a_caller():
         if n not in refs
     ]
     assert dead == []
+
+
+def test_the_profile_audit_loads_on_first_use():
+    # a fresh interpreter, as this session has imported frontks.profiles already
+    code = """
+import sys
+import frontks, frontks.cli
+assert "frontks.profiles" not in sys.modules
+assert frontks.reconstruct_profile is frontks.profiles.reconstruct_profile
+try:
+    frontks.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("frontks.no_such_name resolved")
+"""
+    path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def _array_records():
+    """One factory per record type that holds arrays, directly or through a field."""
+    from frontks import experiments, profiles
+
+    grid = make_grid(1.0, 8)
+
+    def config():
+        return SolverConfig(make_ks_equation(grid), cosine_field(grid, 0.1), dt=0.1, t_end=0.1)
+
+    def report(cls):
+        fill = {"np.ndarray": lambda: np.zeros(2), "list": list}
+        return cls(**{f.name: next((v() for k, v in fill.items() if k in f.type), 0.0) for f in fields(cls)})
+
+    phi_t = profiles.front_time_derivative(1.0, 1.0, 1.0, 0.0)
+    data = profiles.FrontModeData(lambda_k=1.0, alpha=1.0, phi=1.0, phi_t=phi_t, phiy_sq=0.0)
+    factories = {
+        SpectralField: lambda: SpectralField(grid, np.zeros(8)),
+        EquationDescriptor: lambda: make_ks_equation(grid),
+        SolverConfig: config,
+        Trajectory: lambda: Trajectory(make_ks_equation(grid), np.zeros(1), np.zeros((1, 8))),
+        SymbolTable: lambda: build_symbols(1.0, grid),
+        RescaledSymbolTable: lambda: build_rescaled_symbols(0.5, grid),
+        profiles.ProfileSlice: lambda: profiles.reconstruct_profile(data, np.linspace(-1.0, 1.0, 5)),
+    }
+    for name in ("StabilityScanReport", "ConvergenceReport", "EnergyTrace", "KsAprioriReport", "GalerkinReport"):
+        cls = getattr(experiments, name)
+        factories[cls] = functools.partial(report, cls)
+    return factories
+
+
+ARRAY_RECORDS = _array_records()
+
+
+@pytest.mark.parametrize("cls", list(ARRAY_RECORDS), ids=lambda cls: cls.__name__)
+def test_records_that_hold_arrays_compare_by_identity(cls):
+    # a generated __eq__ would ask an array for its truth value and raise
+    a, b = ARRAY_RECORDS[cls](), ARRAY_RECORDS[cls]()
+    assert type(a) is cls
+    assert (a == b) is False
+    assert a == a
+    assert len({a, b}) == 2
+
+
+def test_grids_keep_value_equality():
+    assert make_grid(1.0, 8) == make_grid(1.0, 8)
+    assert hash(make_grid(1.0, 8)) == hash(make_grid(1.0, 8))
+    assert make_grid(1.0, 8) != make_grid(2.0, 8)

@@ -212,6 +212,23 @@ def test_bounds_report_small_epsilon_sweep():
     assert rep.min_mass_slack >= 0.0
 
 
+def test_bounds_report_holds_at_every_period_down_to_1e_60():
+    # |m| tends to its envelope from below as lam grows; a ratio formed from |m| and the
+    # envelope rounds past 1 at 57 of these periods
+    failing = [
+        ell
+        for ell in np.logspace(-60, 2, 400)
+        if not verify_symbol_bounds(build_rescaled_symbols(1.0, make_grid(ell, 3))).all_ok
+    ]
+    assert failing == []
+
+
+@pytest.mark.parametrize("ell, ratio", [(4 * np.pi, 0.5053263217404406), (10 * np.pi, 0.24690969033670998)])
+def test_quad_correction_ratio_is_unchanged_at_long_periods(ell, ratio):
+    rep = verify_symbol_bounds(build_rescaled_symbols(1.0, make_grid(ell, 64)))
+    assert rep.max_quad_correction_ratio == pytest.approx(ratio, rel=1e-15, abs=0)
+
+
 def test_bounds_report_degenerate_grid():
     rep = verify_symbol_bounds(build_rescaled_symbols(0.5, make_grid(TWO_PI, 3)))
     assert rep.all_ok
