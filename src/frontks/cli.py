@@ -159,8 +159,8 @@ def resolve_config(study: Study, flags: dict[str, str], config: str | None = Non
     merged = dict.fromkeys(study.required) | study.optional
     try:
         from_file = {} if config is None else read_config_file(config)
-    except OSError as err:
-        raise ConfigError([f"cannot read config file: {err}"]) from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError([f"cannot read config file '{config}': {err}"]) from err
     raw = from_file | flags
     violations = [f"unknown key '{key}'" for key in raw if key not in merged]
     raw = {key: text for key, text in raw.items() if key in merged}

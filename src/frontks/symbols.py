@@ -113,9 +113,9 @@ class SymbolBoundsReport:
     """
 
     epsilon: float
-    max_mass_correction_ratio: float    # max |h|/lam, bound 6 + 2 eps
+    max_mass_correction_ratio: float    # max |h|/lam, bound 6 + 2 eps, from the slack
     max_quad_correction_ratio: float    # max |m|/(2 sqrt(eps) lam^(3/2) + 25 lam), bound 1, from the slack
-    min_mass_slack: float               # min eps (h - 4 lam) = min (b - 1 - 4 eps lam), bound >= 0
+    min_mass_slack: float               # min (b - 1 - 4 eps lam) = min (1 + eps) r, bound >= 0
     min_sqrt_shift: float               # min r, bound >= 0
     mass_correction_ok: bool
     quad_correction_ok: bool
@@ -133,16 +133,16 @@ class SymbolBoundsReport:
 
 
 def verify_symbol_bounds(table: RescaledSymbolTable) -> SymbolBoundsReport:
-    """Check the uniform-in-eps bounds mode by mode (lam = 0 rows hold trivially)."""
+    """Check each uniform-in-eps bound as a per-mode slack >= 0, and derive its constant from it."""
     eps = table.epsilon
-    lam = table.grid.eigenvalues
-    pos = lam > 0
-    h_ratio = float(np.max(np.abs(table.mass_correction[pos]) / lam[pos]))
-    # over lam/(x + 1), m is q = r^2 - 7 - 4 eps and its envelope is (x + 1)(ab + 25), with
-    # a = sqrt(r), b = sqrt(x + 1), ab = 2 sqrt(eps lam).  At short periods |m| agrees with the
-    # envelope to every float digit, so the slack is formed from r and x: for q >= 0 its
-    # leading part (x + 1) ab - r^2 = a (b^3 - a^3) is 2a (a^2 + ab + b^2)/(a + b)
+    pos = table.grid.eigenvalues > 0
+    # every slack is formed from r and x + 1, reduced by x^2 = 1 + 4 eps lam, so none cancels near its bound
     r, xp1 = table.sqrt_shift[pos], table.sqrt_factor[pos] + 1.0
+    # h/lam = 4 + 4 (1 + eps)/(x + 1) >= 0, below 6 + 2 eps by 2 (1 + eps) r/(x + 1)
+    h_slack = 2.0 * (1.0 + eps) * r / xp1
+    # over lam/(x + 1), m is q = r^2 - 7 - 4 eps and its envelope is (x + 1)(ab + 25), with
+    # a = sqrt(r), b = sqrt(x + 1), ab = 2 sqrt(eps lam).  For q >= 0 the slack's leading
+    # part (x + 1) ab - r^2 = a (b^3 - a^3) is 2a (a^2 + ab + b^2)/(a + b)
     a, b = np.sqrt(r), np.sqrt(xp1)
     q = r * r - 7.0 - 4.0 * eps
     m_slack = np.where(
@@ -150,17 +150,16 @@ def verify_symbol_bounds(table: RescaledSymbolTable) -> SymbolBoundsReport:
         2.0 * a * (r + a * b + xp1) / (a + b) + 25.0 * xp1 + 7.0 + 4.0 * eps,
         xp1 * (a * b + 25.0) + q,
     )
-    m_ratio = float(np.max(np.abs(q) / (np.abs(q) + m_slack)))
-    slack = float(np.min(eps * (table.mass_correction - 4.0 * lam)))
     rmin = float(np.min(table.sqrt_shift))
+    mass_slack = (1.0 + eps) * rmin  # = min (1 + eps) r, as rounding is monotone
     return SymbolBoundsReport(
         epsilon=eps,
-        max_mass_correction_ratio=h_ratio,
-        max_quad_correction_ratio=m_ratio,
-        min_mass_slack=slack,
+        max_mass_correction_ratio=6.0 + 2.0 * eps - float(np.min(h_slack)),
+        max_quad_correction_ratio=float(np.max(np.abs(q) / (np.abs(q) + m_slack))),
+        min_mass_slack=mass_slack,
         min_sqrt_shift=rmin,
-        mass_correction_ok=h_ratio <= 6.0 + 2.0 * eps,
+        mass_correction_ok=bool(np.all(h_slack >= 0.0)),
         quad_correction_ok=bool(np.all(m_slack >= 0.0)),
-        mass_slack_ok=slack >= -1e-15,
+        mass_slack_ok=mass_slack >= 0.0,
         sqrt_shift_ok=rmin >= 0.0,
     )

@@ -172,9 +172,10 @@ SYMBOLS = ["symbols", "--n-modes", "8", "--alpha", "1"]
     ("main", [*SYMBOLS, "--ell", "6.28", "--bogus", "1"], ["unknown key 'bogus'"]),
     ("main", [*SYMBOLS, "--ell", "6.28", "--ell", "3"], ["flag '--ell': key 'ell' given twice"]),
     ("main", [*SYMBOLS, "--ell"], ["flag '--ell' has no value"]),
+    ("main", [*SYMBOLS, "--ell", "6.28", "stray"], ["expected a --key flag, got 'stray'"]),
     ("main", ["symbol", "--ell", "6.28"], [f"unknown subcommand 'symbol'; expected one of {', '.join(STUDIES)}"]),
 ], ids=["x-min-exponent", "phi-exponent", "key=value", "minus-inf", "minus-inf-python-m", "unknown-flag",
-        "repeated-flag", "dangling-flag", "unknown-subcommand"])
+        "repeated-flag", "dangling-flag", "stray-positional", "unknown-subcommand"])
 def test_flags_are_read_as_config_lines(how, argv, want, tmp_path, capsys):
     out = tmp_path / "run"  # given first, so that a dangling flag stays last
     if how == "main":
@@ -241,6 +242,26 @@ def test_config_file_key_given_twice_is_a_config_error(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["violations"] == [f"{cfg}:6: key 'alphas' given twice"]
     assert not out.exists()
+
+
+# what a config file holds, or None for a path that is no file, and the violation it is refused with
+@pytest.mark.parametrize("content,violation", [
+    (b"ell = 6.28\xff\n", "cannot read config file '{cfg}': 'utf-8' codec can't decode byte 0xff in position 10"),
+    (b"ell 6.28\n", "{cfg}:1: expected 'key = value'"),
+    (None, "cannot read config file '{cfg}': [Errno 2] No such file or directory"),
+    ("dir", "cannot read config file '{cfg}': [Errno 21] Is a directory"),
+], ids=["not-utf-8", "no-equals", "missing", "directory"])
+def test_a_config_file_that_cannot_be_read_is_a_config_error_naming_it(content, violation, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    if content == "dir":
+        cfg.mkdir()
+    elif content is not None:
+        cfg.write_bytes(content)
+    rc = main([*SYMBOLS, "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert rc == EXIT_CONFIG
+    (got,) = json.loads(capsys.readouterr().err)["violations"]
+    assert got.startswith(violation.format(cfg=cfg))
+    assert not (tmp_path / "run").exists()
 
 
 def test_stability_scan_byte_identical_reruns(tmp_path):
@@ -654,7 +675,13 @@ def test_every_epsilon_study_takes_epsilon_in_the_unit_interval_alone(
     (["evolve-ks", *SLOW_RUN, "--seed", "-3"], "seed must be non-negative, got -3"),
     (["galerkin", "--ell", "31.4", "--n-list", "0,16", "--t-end", "0.1", "--dt", "0.01"],
      "n_list truncations must have at least 3 modes, got [0, 16]"),
-], ids=["stability-scan-seed", "evolve-ks-seed", "galerkin-n-list"])
+    (["evolve-ks", *SLOW_RUN, "--ic", "bogus"], "key 'ic': expected 'random' or 'cosine', got 'bogus'"),
+    (["evolve-ks", *SLOW_RUN, "--output-stride", "0"], "output_stride must be a positive integer"),
+    (["galerkin", "--ell", "31.4", "--n-list", "16,32", "--t-end", "0.1", "--dt", "0.01", "--equation", "bogus"],
+     "key 'equation': expected ks|front|rescaled, got 'bogus'"),
+    ([*PROFILE[:-1], "-1", "--phi", "1"], "key 'k': must be non-negative"),
+], ids=["stability-scan-seed", "evolve-ks-seed", "galerkin-n-list", "evolve-ks-ic", "evolve-ks-output-stride",
+        "galerkin-equation", "profiles-k"])
 def test_config_errors_name_their_key(argv, violation, tmp_path, monkeypatch, capsys):
     evolved = []
     for module in (frontks.cli, frontks.experiments):

@@ -571,6 +571,10 @@ def test_solver_config_validation():
         SolverConfig(descriptor=desc, initial_condition=good, dt=0.1, t_end=0.05)
     with pytest.raises(ValueError):
         SolverConfig(descriptor=desc, initial_condition=SpectralField(other, np.zeros(12)), dt=0.1, t_end=1.0)
+    with pytest.raises(ValueError, match="output_stride must be a positive integer"):
+        SolverConfig(descriptor=desc, initial_condition=good, dt=0.1, t_end=1.0, output_stride=0)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        Etdrk4(desc, 0.0)
 
 
 def test_solver_config_rejects_t_end_off_the_step_lattice():
@@ -648,6 +652,8 @@ def test_mean_mode_check_rejects_sparse_snapshots():
     traj = _front_run(alpha=1.0, t_end=2.0, stride=5)  # spacing 0.05 > 0.01
     with pytest.raises(ValueError):
         mean_mode_ode_check(traj)
+    with pytest.raises(ValueError, match="fewer than two snapshots"):
+        mean_mode_ode_check(dataclasses.replace(traj, times=traj.times[:1], coeffs=traj.coeffs[:1]))
 
 
 def test_mean_converges_at_late_times():

@@ -156,6 +156,10 @@ def test_transform_length_mismatch():
     grid = make_grid(TWO_PI, 8)
     with pytest.raises(ValueError):
         transform(grid, np.zeros(grid.n_points + 1))
+    with pytest.raises(ValueError, match=r"shape \(9,\), expected \(8,\)"):
+        SpectralField(grid, np.zeros(9))
+    with pytest.raises(ValueError, match="cannot carry harmonics up to"):
+        inverse_transform(SpectralField(grid, np.zeros(8)), 2 * grid.max_harmonic)
 
 
 def test_round_trip_on_seeded_random_fields():

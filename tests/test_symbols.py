@@ -213,12 +213,16 @@ def test_bounds_report_small_epsilon_sweep():
 
 
 def test_bounds_report_holds_at_every_period_down_to_1e_60():
-    # |m| tends to its envelope from below as lam grows; a ratio formed from |m| and the
-    # envelope rounds past 1 at 57 of these periods
+    # |m| tends to its envelope from below as lam grows (eps = 1), and h/lam tends to its
+    # bound 6 + 2 eps from below as lam shrinks (tiny eps); a ratio formed from |m| or h and
+    # its bound rounds past it at 57 of the 400 periods and at 35 of the 3 x 63
+    runs = [(1.0, 3, np.logspace(-60, 2, 400))]
+    runs += [(eps, 16, np.logspace(-60, 2, 63)) for eps in (1e-300, 1e-100, 1e-20)]
     failing = [
-        ell
-        for ell in np.logspace(-60, 2, 400)
-        if not verify_symbol_bounds(build_rescaled_symbols(1.0, make_grid(ell, 3))).all_ok
+        (eps, ell)
+        for eps, n_modes, periods in runs
+        for ell in periods
+        if not verify_symbol_bounds(build_rescaled_symbols(eps, make_grid(ell, n_modes))).all_ok
     ]
     assert failing == []
 
@@ -227,6 +231,17 @@ def test_bounds_report_holds_at_every_period_down_to_1e_60():
 def test_quad_correction_ratio_is_unchanged_at_long_periods(ell, ratio):
     rep = verify_symbol_bounds(build_rescaled_symbols(1.0, make_grid(ell, 64)))
     assert rep.max_quad_correction_ratio == pytest.approx(ratio, rel=1e-15, abs=0)
+    # max |h|/lam as read off the h column
+    mass_ratio = {4 * np.pi: 7.313708498984761, 10 * np.pi: 7.851648071345039}[ell]
+    assert rep.max_mass_correction_ratio == pytest.approx(mass_ratio, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("field", ["sqrt_shift", "sqrt_factor"])
+def test_bounds_report_fails_on_a_nan_in_one_mode(field):
+    table = build_rescaled_symbols(0.1, make_grid(10 * np.pi, 16))
+    values = getattr(table, field).copy()
+    values[5] = np.nan
+    assert not verify_symbol_bounds(dataclasses.replace(table, **{field: values})).all_ok
 
 
 def test_bounds_report_degenerate_grid():
