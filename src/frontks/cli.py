@@ -25,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import experiments as xp
 from .evolve import (
     SolverConfig,
     evolve,
@@ -260,7 +259,8 @@ def _cmd_evolve(equation, cfg) -> tuple[int, dict]:
     )
     header = ["time"] + [f"a{k}" for k in range(traj.grid.n_modes)]
     return EXIT_BLOWUP if traj.blown_up else EXIT_OK, {
-        "trajectory.csv": (header, np.column_stack([traj.times, traj.coeffs]).tolist()),
+        # one row at a time, so the writer never holds the trajectory as Python floats
+        "trajectory.csv": (header, ([t, *c.tolist()] for t, c in zip(traj.times.tolist(), traj.coeffs))),
         "summary.json": {
             "config": cfg,
             "l2": traj.diagnostics["l2"],
@@ -311,7 +311,7 @@ def _cmd_profiles(cfg) -> tuple[int, dict]:
 # the study table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Study:
     """One subcommand: its config keys and what it runs.
 
@@ -320,7 +320,8 @@ class Study:
     ``--help`` lists them.  ``run(cfg)`` returns the exit code and the files to write,
     each name mapped to ``(header, rows)`` for a CSV or to a dict for JSON.
     A ``run`` looks up the module attributes it calls at call time, so
-    wrappers set on them are seen.
+    wrappers set on them are seen.  Studies compare by identity: ``optional``
+    is a dict, so a generated ``__hash__`` could only raise.
     """
 
     required: tuple[str, ...]
@@ -329,14 +330,19 @@ class Study:
 
 
 def _report_study(required, optional, run: Callable, csv: str, columns: dict) -> Study:
-    """A study whose ``run(cfg)`` returns a report that lists its blown-up runs in ``blowups``.
+    """A study whose ``run(xp, cfg)`` returns a report that lists its blown-up runs in ``blowups``.
 
-    Its files: the CSV, ``columns`` mapping each header to a report field name
-    or a getter, and report.json, every report field plus the config.  Exit 3 iff a run blew up.
+    ``xp`` is the ``frontks.experiments`` module.  Its files: the CSV, ``columns``
+    mapping each header to a report field name or a getter, and report.json,
+    every report field plus the config.  Exit 3 iff a run blew up.
     """
 
     def files(cfg) -> tuple[int, dict]:
-        report = run(cfg)
+        # the studies' module loads on first use: an evolve-*, symbols or profiles
+        # run never pays for importing it and building its report classes
+        from . import experiments
+
+        report = run(experiments, cfg)
         values = [c(report) if callable(c) else getattr(report, c) for c in columns.values()]
         written = {csv: (list(columns), zip(*values)), "report.json": {**vars(report), "config": cfg}}
         return EXIT_BLOWUP if report.blowups else EXIT_OK, written
@@ -344,7 +350,7 @@ def _report_study(required, optional, run: Callable, csv: str, columns: dict) ->
     return Study(required, optional, files)
 
 
-def _run_galerkin(cfg) -> xp.GalerkinReport:
+def _run_galerkin(xp, cfg):
     return xp.run_galerkin_refinement(
         make_descriptor=_equation(cfg["equation"], cfg),
         initial=lambda g: cosine_field(g, cfg["amplitude"], cfg["harmonic"]),
@@ -386,7 +392,7 @@ STUDIES: dict[str, Study] = {
     "stability-scan": _report_study(
         ("ell", "n_modes", "alphas", "t_end", "dt"),
         {"amplitude": 1e-4, "seed": 0, "output_stride": 1},
-        lambda cfg: xp.run_stability_scan(
+        lambda xp, cfg: xp.run_stability_scan(
             random_zero_mean_field(make_grid(cfg["ell"], cfg["n_modes"]), cfg["amplitude"], cfg["seed"]),
             cfg["alphas"], cfg["t_end"], cfg["dt"], cfg["output_stride"],
         ),
@@ -401,7 +407,7 @@ STUDIES: dict[str, Study] = {
     "convergence": _report_study(
         ("ell0", "n_modes", "t_end", "epsilons", "dt"),
         {"amplitude": 0.1, "harmonic": 1, "output_stride": 10},
-        lambda cfg: xp.run_convergence_study(
+        lambda xp, cfg: xp.run_convergence_study(
             _initial_field(cfg), cfg["t_end"], cfg["epsilons"], cfg["dt"], cfg["output_stride"]
         ),
         "convergence.csv",
@@ -410,7 +416,7 @@ STUDIES: dict[str, Study] = {
     "energy": _report_study(
         ("ell0", "n_modes", "epsilon", "t_end", "dt"),
         {"amplitude": 0.1, "harmonic": 1, "output_stride": 10},
-        lambda cfg: xp.run_energy_monitor(
+        lambda xp, cfg: xp.run_energy_monitor(
             _initial_field(cfg), cfg["t_end"], cfg["epsilon"], cfg["dt"], cfg["output_stride"]
         ),
         "energy.csv",
@@ -419,7 +425,7 @@ STUDIES: dict[str, Study] = {
     "ks-apriori": _report_study(
         ("ell0", "n_modes", "t_end", "dt"),
         {"amplitude": 0.1, "harmonic": 1, "output_stride": 10},
-        lambda cfg: xp.run_ks_apriori_check(_initial_field(cfg), cfg["t_end"], cfg["dt"], cfg["output_stride"]),
+        lambda xp, cfg: xp.run_ks_apriori_check(_initial_field(cfg), cfg["t_end"], cfg["dt"], cfg["output_stride"]),
         "apriori.csv",
         {
             "tau": "times",

@@ -193,6 +193,8 @@ class Etdrk4:
 
 @dataclass(frozen=True, eq=False)
 class SolverConfig:
+    """One run: the equation, its initial field, the step and horizon, and the snapshot stride."""
+
     descriptor: EquationDescriptor
     initial_condition: SpectralField
     dt: float

@@ -80,6 +80,8 @@ def measured_growth_rate(trajectory: Trajectory) -> float:
 
 @dataclass(eq=False)
 class StabilityScanReport:
+    """alpha_c and, per alpha, the measured and predicted growth rates of the null front and its verdict."""
+
     alpha_c: float
     alphas: np.ndarray
     measured_rates: np.ndarray
@@ -139,6 +141,8 @@ def run_stability_scan(
 
 @dataclass(eq=False)
 class ConvergenceReport:
+    """Per-epsilon gap between the slow-scale and the K-S runs, and its fitted order in epsilon."""
+
     epsilons: np.ndarray
     sup_errors: np.ndarray   # sup over snapshots and collocation points of |psi_eps - Phi|, nan on blowup
     ratios: np.ndarray       # sup_errors / eps
@@ -199,6 +203,8 @@ def run_convergence_study(
 
 @dataclass(eq=False)
 class EnergyTrace:
+    """The weighted remainder energy at each snapshot and its running maximum."""
+
     times: np.ndarray
     values: np.ndarray  # the weighted remainder energy at each snapshot
     observed_bound: float  # running max, the empirical uniform bound
@@ -249,6 +255,8 @@ def run_energy_monitor(
 
 @dataclass(eq=False)
 class KsAprioriReport:
+    """K-S slope norm and mean at each snapshot against their growth bounds."""
+
     times: np.ndarray
     slope_norms: np.ndarray    # |Phi_eta(tau)|_2
     slope_bounds: np.ndarray   # e^(13 tau/6) |Phi_eta(0)|_2
@@ -290,6 +298,8 @@ def run_ks_apriori_check(
 
 @dataclass(eq=False)
 class GalerkinReport:
+    """Final-state gaps between consecutive truncations and each truncation's peak L2 norm."""
+
     n_list: list[int]
     final_diffs: np.ndarray  # L2 gap between consecutive truncations' t_end states, nan on blowup
     max_l2: np.ndarray       # per-truncation running max of the L2 norm

@@ -331,6 +331,36 @@ def test_evolve_front_writes_trajectory(tmp_path):
     assert len(summary["l2"]) == 21
 
 
+def test_evolve_writes_its_trajectory_one_row_at_a_time(tmp_path, monkeypatch):
+    # 2001 snapshots of 64 modes: handed to the writer as one list of Python floats,
+    # they would take about four times the coefficient array on top of it
+    argv = ["evolve-rescaled", "--ell0", "31.41592653589793", "--epsilon", "0.04", "--n-modes", "64",
+            "--t-end", "2", "--dt", "0.001"]
+    ran = {}
+
+    def evolve(config, _evolve=frontks.cli.evolve):
+        ran["traj"] = _evolve(config)
+        tracemalloc.reset_peak()  # from here on, what is allocated is the writing's
+        ran["held"] = tracemalloc.get_traced_memory()[0]
+        return ran["traj"]
+
+    monkeypatch.setattr(frontks.cli, "evolve", evolve)
+    out = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1] - ran["held"]
+    finally:
+        tracemalloc.stop()
+    traj = ran["traj"]
+    assert traj.coeffs.shape == (2001, 64)
+    assert peak < 2 * traj.coeffs.nbytes
+    want = tmp_path / "want.csv"
+    header = (out / "trajectory.csv").read_text().split("\n", 1)[0].split(",")
+    write_csv(str(want), header, np.column_stack([traj.times, traj.coeffs]).tolist())
+    assert (out / "trajectory.csv").read_bytes() == want.read_bytes()
+
+
 def test_evolve_ks_blowup_exit_code(tmp_path):
     rc = main([
         "evolve-ks", "--ell0", "80.0", "--n-modes", "64", "--dt", "5.0",

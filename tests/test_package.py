@@ -3,12 +3,13 @@
 import ast
 import functools
 import importlib
+import inspect
 import os
 import pathlib
 import pkgutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -115,6 +116,15 @@ def test_every_public_name_has_a_caller():
     assert dead == []
 
 
+def _run_fresh(code: str) -> None:
+    """Run code in a fresh interpreter that imports frontks from this checkout; it must exit 0."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_the_profile_audit_loads_on_first_use():
     # a fresh interpreter, as this session has imported frontks.profiles already
     code = """
@@ -129,11 +139,50 @@ except AttributeError:
 else:
     raise AssertionError("frontks.no_such_name resolved")
 """
-    path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(code)
+
+
+def test_the_report_studies_load_on_first_use(tmp_path):
+    # a fresh interpreter, as this session has imported frontks.experiments already
+    code = f"""
+import sys
+import frontks, frontks.cli
+from frontks.cli import main
+assert "frontks.experiments" not in sys.modules
+evolve = ["--ell0", "6.283185307179586", "--epsilon", "0.5", "--n-modes", "8", "--t-end", "0.1", "--dt", "0.05"]
+assert main(["evolve-rescaled", *evolve, "--out", {str(tmp_path / "evolve")!r}]) == 0
+assert "frontks.experiments" not in sys.modules
+scan = ["--ell", "6.283185307179586", "--n-modes", "8", "--alphas", "1", "--t-end", "0.1", "--dt", "0.05"]
+assert main(["stability-scan", *scan, "--out", {str(tmp_path / "scan")!r}]) == 0
+assert "frontks.experiments" in sys.modules
+calls = []
+
+def wrapper(*args, _run=frontks.experiments.run_stability_scan):
+    calls.append(args)
+    return _run(*args)
+
+frontks.experiments.run_stability_scan = wrapper
+assert main(["stability-scan", *scan, "--out", {str(tmp_path / "scan")!r}]) == 0
+assert len(calls) == 1
+"""
+    _run_fresh(code)
+
+
+def _records():
+    """Every dataclass the package defines, the lazily loaded modules' included."""
+    return [
+        cls
+        for name in MODULES
+        for cls in vars(importlib.import_module(f"frontks.{name}")).values()
+        if is_dataclass(cls) and isinstance(cls, type) and cls.__module__ == f"frontks.{name}"
+    ]
+
+
+@pytest.mark.parametrize("cls", _records(), ids=lambda cls: f"{cls.__module__}.{cls.__name__}")
+def test_every_record_has_a_docstring_of_its_own(cls):
+    # without one, dataclass writes Name(field: type, ...) through inspect.signature as the class is built
+    generated = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
+    assert cls.__doc__ and cls.__doc__ != generated
 
 
 def _array_records():
@@ -176,6 +225,16 @@ def test_records_that_hold_arrays_compare_by_identity(cls):
     assert type(a) is cls
     assert (a == b) is False
     assert a == a
+    assert len({a, b}) == 2
+
+
+def test_studies_compare_by_identity():
+    # a study's optional defaults are a dict, so a generated __hash__ could only raise
+    from frontks.cli import STUDIES, Study
+
+    study = STUDIES["symbols"]
+    a, b = (Study(study.required, study.optional, study.run) for _ in range(2))
+    assert a != b and a == a
     assert len({a, b}) == 2
 
 
