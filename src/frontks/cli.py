@@ -15,6 +15,8 @@ significant digits).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import os
 import sys
@@ -43,11 +45,21 @@ EXIT_IO = 4
 OUTPUT_DIR_ENV = "FRONTKS_OUTDIR"
 
 
+# values formatted per block of rows: fewer make the numpy calls' overhead show;
+# more make a block's largest arrays (32 bytes a value) pass the 128 KiB above
+# which glibc's malloc maps fresh pages, which measured as a higher peak RSS
+_BLOCK_VALUES = 3072
+# a block of fewer values is written row by row: there the ~100 numpy calls
+# of _g17_fields cost more than the per-value formatting they save
+_MIN_BLOCK_VALUES = 384
+
+
 def write_csv(path: str, header: list[str], rows) -> None:
     """Header line, then one line per row: str as is, numbers to 17 significant digits.
 
     Each column keeps the type of its first row, so one %-format built from
-    that row serves every line.
+    that row serves every line.  Tables of numbers only are written a block
+    of rows at a time, each block one write.
     """
     rows = iter(rows)
     first = next(rows, None)
@@ -56,8 +68,192 @@ def write_csv(path: str, header: list[str], rows) -> None:
         if first is None:
             return
         line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\n"
-        fh.write(line % tuple(first))
-        fh.writelines(line % tuple(row) for row in rows)
+        rows = itertools.chain([first], rows)
+        if "%s" in line:
+            fh.writelines(line % tuple(row) for row in rows)
+            return
+        size = max(1, _BLOCK_VALUES // max(1, len(first)))
+        while block := list(itertools.islice(rows, size)):
+            fh.write(_g17_lines(block, line))
+
+
+def _g17_lines(rows: list, line: str) -> str:
+    """``"".join(line % tuple(row) for row in rows)`` for a ``line`` of %.17g fields only.
+
+    Rows that make a 2-D array of bools, ints or floats, at least
+    ``_MIN_BLOCK_VALUES`` of them, are formatted from ``_g17_fields``; any
+    others (ragged, ``None``, ints past 64 bits) by ``line`` itself, so they
+    print or raise as they always did.
+    """
+    n_cols = line.count("%")
+    if len(rows) * n_cols >= _MIN_BLOCK_VALUES:
+        try:
+            values = np.array(rows)
+        except ValueError:  # ragged rows
+            values = None
+        if values is not None and values.dtype.kind in "biuf" and values.shape == (len(rows), n_cols):
+            text = _g17_fields(values.astype(np.float64, copy=False)).tobytes()
+            return text.translate(None, b"\0").decode("ascii")
+    return "".join(line % tuple(row) for row in rows)
+
+
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's splitter for a 53-bit significand
+
+
+@functools.cache  # one entry per exponent used, at most -235..267
+def _pow10(s: int) -> tuple[float, float, float, float]:
+    """10**s as c + rest, each the double nearest to what it stands for, and c's two halves."""
+    if s >= 0:
+        c = float(10**s)
+        rest = float(10**s - int(c))
+    else:
+        num, den = (1 / 10**-s).as_integer_ratio()
+        c = num / den
+        rest = (den - num * 10**-s) / (den * 10**-s)
+    t = _SPLIT * c
+    upper = t - (t - c)
+    return c, rest, upper, c - upper
+
+
+def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant digits of each |x|, D 10**(e - 16) with 1e16 <= D < 1e17.
+
+    Returns D's first digit, its other 16 digits as one integer, e, and where
+    D is exact: for every finite x with 1e-250 <= |x| <= 1e250 but the
+    near-ties.  A zero gives D = 0, e = 0.  With e a guess of floor(log10|x|),
+    P = |x| 10**(16 - e) is formed as p + lo: p and its rounding error from
+    Dekker's exact product of |x| with the double nearest 10**(16 - e), plus
+    |x| times the rest of that power.  p + lo is within P 2**-100 < 1e-13 of
+    P, so its nearest integer is D unless P is within 1e-9 of a half-integer:
+    those near-ties are not exact here.  A guess one off puts P outside
+    [1e16, 1e17), and P is formed again with e corrected; a D that rounds up
+    to 1e17 is 1e16 with e + 1.
+    """
+    ax = np.abs(x)
+    exact = (ax >= 1e-250) & (ax <= 1e250)
+    ax[~exact] = 1.0
+    exact |= x == 0
+    e10 = np.floor(np.log10(ax)).astype(np.int64)
+    upper = _SPLIT * ax
+    upper -= upper - ax
+    lower = ax - upper
+
+    def scaled(e10):
+        e_max = int(e10.max())
+        parts = np.array([_pow10(16 - e) for e in range(e_max, int(e10.min()) - 1, -1)]).T
+        c, c_rest, c_upper, c_lower = np.take(parts, e_max - e10, axis=1)
+        p = ax * c
+        err = ((upper * c_upper - p) + upper * c_lower + lower * c_upper) + lower * c_lower
+        return p, err + ax * c_rest
+
+    p, lo = scaled(e10)
+    low = (p - 1e16) + lo < 0
+    high = (p - 1e17) + lo >= 0
+    if low.any() or high.any():
+        e10 += high
+        e10 -= low
+        p, lo = scaled(e10)
+    # p >= 2**53 is an integer, so the rounding happens in lo alone
+    nearest = np.rint(lo)
+    exact &= np.abs(np.abs(lo - nearest) - 0.5) > 1e-9
+    d = p.astype(np.int64) + nearest.astype(np.int64)
+    carry = d == 10**17
+    d[carry] = 10**16
+    e10 += carry
+    d[x == 0] = 0
+    return *np.divmod(d, 10**16), e10, exact
+
+
+# A field is four 8-byte words, NUL-padded: sign, "0." and zeros, the first
+# digit and the point; digits 2-9; digits 10-17; the exponent and separator.
+_EXPONENTS = 256  # the last word of e10 is row e10 + 256 (-256 <= e10 <= 256), of fixed notation row 513
+
+
+@functools.cache
+def _field_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The words of a field: first words (uint64), four digits (uint32), last words (uint64).
+
+    First word of sign s, head h (0 for none, else "0." and h - 1 zeros),
+    point p and first digit f: row ((s * 5 + h) * 2 + p) * 10 + f.  Four
+    digits g: row g with their trailing zeros dropped, row g + 10000 with all
+    four.  Last words: see ``_EXPONENTS``.
+    """
+    # built by assignment alone, so that building them pages in none of numpy's
+    # arithmetic loops (each one measured as up to 128 KiB more peak RSS)
+    digits = np.frombuffer(b"0123456789", np.uint8)
+    first = np.zeros((2, 5, 2, 10, 8), np.uint8)
+    first[1, ..., 0] = ord("-")
+    heads = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000"], "S5").view(np.uint8)
+    first[..., 1:6] = heads.reshape(5, 1, 1, 5)
+    first[..., 6] = digits
+    first[:, :, 1, :, 7] = ord(".")
+    groups = np.empty((2, 10, 10, 10, 10, 4), np.uint8)
+    for place in range(4):
+        groups[..., place] = digits.reshape((10,) + (1,) * (3 - place))
+    # in groups[0] a digit is dropped if it and every digit after it are 0
+    stripped = groups[0]
+    stripped[..., 0, 3] = 0
+    stripped[..., 0, 0, 2] = 0
+    stripped[:, 0, 0, 0, 1] = 0
+    stripped[0, 0, 0, 0, 0] = 0
+    last = np.zeros((2 * _EXPONENTS + 2, 8), np.uint8)
+    last[:-1, 0] = ord("e")
+    last[:_EXPONENTS, 1] = ord("-")
+    last[_EXPONENTS:-1, 1] = ord("+")
+    last[:-1, 2:5] = groups[1].reshape(10000, 4)[np.r_[_EXPONENTS:0:-1, : _EXPONENTS + 1], 1:]
+    last[_EXPONENTS - 99 : _EXPONENTS + 100, 2] = 0
+    last[:, 5] = ord(",")
+    return (
+        first.view(np.uint64).reshape(-1),
+        groups.view(np.uint32).reshape(-1),
+        last.view(np.uint64).reshape(-1),
+    )
+
+
+def _g17_fields(values: np.ndarray) -> np.ndarray:
+    """The "%.17g" CSV fields of a 2-D float64 array, as 32 NUL-padded bytes each.
+
+    Digits come from ``_decimal17``; where those are not exact (nan, inf,
+    nonzero |x| < 1e-250, |x| > 1e250, near-ties) "%.17g" itself writes the
+    field.  Dropping the NULs leaves the CSV lines.
+    """
+    first_words, group_words, last_words = _field_tables()
+    n_rows, n_cols = values.shape
+    x = values.reshape(-1)
+    lead, rest, e10, exact = _decimal17(x)
+    # "%g": fixed notation iff -4 <= e10 < 17; then the first digit follows
+    # -e10 - 1 zeros after "0." (e10 < 0), or the point follows e10 + 1 digits
+    sci = (e10 < -4) | (e10 >= 17)
+    below_one = (e10 < 0) & ~sci
+    point = np.where(sci | below_one, 1, e10 + 1)  # digits before the point
+    dot = (rest % 10 ** (17 - point) != 0) & ~below_one
+    words = np.empty((x.size, 4), np.uint64)
+    head = np.where(below_one, -e10, 0)
+    np.take(first_words, ((np.signbit(x) * 5 + head) * 2 + dot) * 10 + lead, out=words[:, 0])
+    quads = words.view(np.uint32)
+    for k in range(4):
+        # the trailing zeros of the 17 digits are dropped
+        below = 10 ** (12 - 4 * k)
+        np.take(group_words, rest // below % 10**4 + 10**4 * (rest % below != 0), out=quads[:, 2 + k])
+    np.take(last_words, np.where(sci, e10 + _EXPONENTS, 2 * _EXPONENTS + 1), out=words[:, 3])
+
+    text = words.view(np.uint8)
+    text.reshape(n_rows, n_cols, 32)[:, -1, 29] = ord("\n")
+    if (moved := np.flatnonzero(point > 1)).size:
+        # the point goes after digit point - 1: the digits it passes move one place
+        # left, and those of them the digit words dropped as trailing zeros come back
+        body = text[moved, 6:24]
+        at = point[moved, None]
+        col = np.arange(18)
+        passed = np.roll(body, -1, axis=1)
+        passed[passed == 0] = ord("0")
+        text[moved, 6:24] = np.where(
+            (col >= 1) & (col < at), passed, np.where(col == at, body[:, 1:2], body)
+        )
+    if (redo := np.flatnonzero(~exact)).size:
+        fields = np.array([b"%.17g" % v for v in x[redo].tolist()], dtype="S29")
+        text[redo, :29] = fields.view(np.uint8).reshape(-1, 29)
+    return text
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -258,9 +454,15 @@ def _cmd_evolve(equation, cfg) -> tuple[int, dict]:
         )
     )
     header = ["time"] + [f"a{k}" for k in range(traj.grid.n_modes)]
+    # rows as arrays, a writer's block at a time, so the trajectory is never copied whole
+    size = max(1, _BLOCK_VALUES // len(header))
+    rows = (
+        row
+        for i in range(0, len(traj.times), size)
+        for row in np.column_stack((traj.times[i : i + size], traj.coeffs[i : i + size]))
+    )
     return EXIT_BLOWUP if traj.blown_up else EXIT_OK, {
-        # one row at a time, so the writer never holds the trajectory as Python floats
-        "trajectory.csv": (header, ([t, *c.tolist()] for t, c in zip(traj.times.tolist(), traj.coeffs))),
+        "trajectory.csv": (header, rows),
         "summary.json": {
             "config": cfg,
             "l2": traj.diagnostics["l2"],

@@ -26,7 +26,7 @@ from frontks.cli import (
     resolve_config,
     write_csv,
 )
-from frontks.evolve import Etdrk4
+from frontks.evolve import Etdrk4, Trajectory
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -291,6 +291,139 @@ def test_write_csv_writes_17_significant_digits_byte_for_byte(tmp_path):
     assert path.read_bytes() == want.encode()
     write_csv(str(path), ["a"], iter([]))
     assert path.read_bytes() == b"a\n"
+
+
+def _g17_reference(rows) -> str:
+    return "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+
+
+def _near_ties() -> list[float]:
+    """Doubles x with x 10**s at most 3 * 2**-45 from a half-integer, for s = 23, 24.
+
+    10**s is not a double there, so the product that gives the 17 digits is
+    inexact and cannot tell such an x from a tie.
+    """
+    found = []
+    for s in (23, 24):
+        for k in range(45, 54):
+            inverse = pow(5**s, -1, 2**k)
+            for off in (-3, -1, 0, 1, 3):  # 0: an exact tie
+                # the least 53-bit m with m 5**s = 2**(k - 1) + off modulo 2**k
+                m = 2**52 + ((2 ** (k - 1) + off) * inverse - 2**52) % 2**k
+                if m < 2**53 and 10**16 * 2**k <= m * 5**s < 10**17 * 2**k:
+                    found.append(math.ldexp(m, -k - s))
+    return found
+
+
+def test_block_formatter_matches_format_17g_byte_for_byte():
+    rng = np.random.default_rng(17)
+    decades = [float(f"1e{k}") for k in range(-320, 309)]
+    values = np.concatenate([
+        # every bit pattern: subnormals, inf and nan among them
+        rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(np.float64),
+        decades,
+        np.nextafter(decades, np.inf),
+        np.nextafter(decades, 0),
+        [9.9999999999999995e-05, 0.0, -0.0, 1e16, 1e17, 2.0**53, 2.0**53 + 2],
+        # exact ties, which the digits round half to even
+        np.arange(26215, 262144, 2) / 2**18,
+        [j / 2.0**24 for j in range(3, 16, 2)] + [1 / 2.0**25, 3 / 2.0**25],
+        _near_ties(),
+        # integer-valued floats up to 1e17, and every fixed and exponent layout
+        [float(10**k + j) for k in range(18) for j in (-1, 0, 1)],
+        np.round(rng.uniform(0, 1e17, 5_000) / 10.0 ** rng.integers(0, 17, 5_000)),
+        rng.standard_normal(20_000) * 10.0 ** rng.integers(-30, 30, 20_000),
+    ])
+    assert values.size > 200_000
+    line = ",".join(["%.17g"] * 64) + "\n"
+    table = np.resize(values, (-(-values.size // 64), 64))
+    for start in range(0, len(table), 64):
+        rows = list(table[start : start + 64])
+        assert frontks.cli._g17_lines(rows, line) == _g17_reference(rows)
+    # Python numbers convert to float64 as "%.17g" converts them; 10**20 has no int64, and its
+    # block is formatted row by row
+    for special in ([2**53 + 1, True, np.float64(1 / 3), -0.0, 0, -7, 123456789012345678, 1.5],
+                    [10**20, 2**53 + 1, True, np.float64(1 / 3), -0.0, 0, -7, 0.1]):
+        rows = [special] * 64
+        assert frontks.cli._g17_lines(rows, ",".join(["%.17g"] * 8) + "\n") == _g17_reference(rows)
+
+
+_ROWS_PER_BLOCK = frontks.cli._BLOCK_VALUES // 129
+
+
+@pytest.mark.parametrize("n_rows", [0, _ROWS_PER_BLOCK - 1, _ROWS_PER_BLOCK, _ROWS_PER_BLOCK + 1,
+                                    2 * _ROWS_PER_BLOCK + 1])
+def test_write_csv_bytes_do_not_depend_on_block_boundaries(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    table = rng.standard_normal((n_rows, 129)) * 10.0 ** rng.integers(-20, 20, (n_rows, 129))
+    table[::3, 5] = 0.0
+    table[1::5, 7] = np.nan
+    table[2::7, 9] = -np.inf
+    header = [f"c{k}" for k in range(129)]
+    path = tmp_path / "rows.csv"
+    write_csv(str(path), header, (row for row in table))  # a one-pass iterator of array rows
+    assert path.read_text() == ",".join(header) + "\n" + _g17_reference(table.tolist())
+
+
+@pytest.mark.parametrize("label", [False, True])
+def test_write_csv_mixed_rows_across_a_block_boundary(tmp_path, label):
+    mixed = [
+        [3, 0.1, np.float64(-2.5e-7), float("nan")],
+        [-12, float("inf"), np.float64(float("-inf")), -0.0],
+        [10**20, 1e-300, np.float64(1 / 3), np.float64(float("nan"))],
+    ]
+    fill = [[k, k / 7, -k * 1e-9, 2.0**-k] for k in range(frontks.cli._BLOCK_VALUES // 4 + 5)]
+    # the mixed rows are the last of the first block and the first of the second
+    rows = fill[: len(fill) - 7] + mixed + fill[-4:]
+    if label:  # a str column: written row by row
+        rows = [[f"r{i}", *row] for i, row in enumerate(rows)]
+    path = tmp_path / "rows.csv"
+    write_csv(str(path), ["a", "b", "c", "d", "e"][: len(rows[0])], iter(rows))
+    want = "".join(",".join(v if isinstance(v, str) else format(v, ".17g") for v in row) + "\n" for row in rows)
+    assert path.read_text().split("\n", 1)[1] == want
+
+
+def test_write_csv_formats_zeros_inf_and_nan_without_floating_point_warnings(tmp_path):
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    rows = [special] * 64
+    path = tmp_path / "rows.csv"
+    with np.errstate(all="raise"):
+        write_csv(str(path), [f"c{k}" for k in range(8)], rows)
+    assert path.read_text().split("\n", 1)[1] == _g17_reference(rows)
+
+
+def test_csv_writing_peak_depends_on_the_block_not_the_trajectory(tmp_path, monkeypatch):
+    # a stand-in trajectory of random coefficients, so only the writing costs time
+    peaks = {}
+    block = frontks.cli._BLOCK_VALUES
+
+    def fake_evolve(config):
+        n = key[0]
+        coeffs = np.random.default_rng(n).standard_normal((n, 128)) * 1e-3
+        return Trajectory(config.descriptor, np.arange(n) * 1e-3, coeffs, {"l2": [], "zero_mean_l2": []})
+
+    def traced_write_csv(path, header, rows, _write=frontks.cli.write_csv):
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        _write(path, header, rows)
+        peaks[key] = tracemalloc.get_traced_memory()[1] - held
+
+    monkeypatch.setattr(frontks.cli, "evolve", fake_evolve)
+    monkeypatch.setattr(frontks.cli, "write_csv", traced_write_csv)
+    frontks.cli._field_tables()  # built once per process, outside the peaks compared
+    argv = ["evolve-rescaled", "--ell0", "31.41592653589793", "--epsilon", "0.04", "--n-modes", "128",
+            "--t-end", "0.001", "--dt", "0.001"]
+    tracemalloc.start()
+    try:
+        for key in [(16001, block), (2001, block), (2001, block // 2)]:
+            monkeypatch.setattr(frontks.cli, "_BLOCK_VALUES", key[1])
+            assert main([*argv, "--out", str(tmp_path / f"{key[0]}-{key[1]}")]) == EXIT_OK
+    finally:
+        tracemalloc.stop()
+    # 8x the snapshots, the same peak; half the block, a smaller one
+    assert peaks[(16001, block)] < 1.2 * peaks[(2001, block)]
+    assert peaks[(2001, block // 2)] < 0.75 * peaks[(2001, block)]
+    assert peaks[(16001, block)] < 16001 * 128 * 8 / 16
 
 
 @pytest.mark.parametrize("subcommand,args", [

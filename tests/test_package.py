@@ -168,6 +168,19 @@ assert len(calls) == 1
     _run_fresh(code)
 
 
+def test_the_csv_formatting_tables_are_built_on_first_use(tmp_path):
+    # a fresh interpreter, as this session has written CSVs already
+    code = f"""
+import frontks.cli as cli
+assert cli._pow10.cache_info().currsize == 0
+assert cli._field_tables.cache_info().currsize == 0
+cli.write_csv({str(tmp_path / "t.csv")!r}, ["a", "b"], [[k, k / 3] for k in range(cli._MIN_BLOCK_VALUES)])
+assert cli._pow10.cache_info().currsize > 0
+assert cli._field_tables.cache_info().currsize == 1
+"""
+    _run_fresh(code)
+
+
 def _records():
     """Every dataclass the package defines, the lazily loaded modules' included."""
     return [
