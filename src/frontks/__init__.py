@@ -38,25 +38,4 @@ from .evolve import (
     mean_mode_ode_check,
 )
 
-_PROFILE_NAMES = frozenset(
-    {
-        "FrontModeData",
-        "ProfileCoefficients",
-        "ProfileSlice",
-        "front_time_derivative",
-        "jump_residuals",
-        "reconstruct_profile",
-    }
-)
-
-
-# the free-boundary audit serves only the profiles subcommand, so it loads on first use
-def __getattr__(name):
-    if name in _PROFILE_NAMES:
-        from . import profiles
-
-        return getattr(profiles, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __version__ = "0.1.0"

@@ -111,7 +111,6 @@ class Etdrk4:
         if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt}")
         self.descriptor = descriptor
-        self.dt = float(dt)
         z = dt * descriptor.linear_symbol
         if np.max(np.abs(z)) >= 1e100:  # _phi takes z**3, finite below about 5.6e102
             raise ValueError(f"max |dt * L| is {np.max(np.abs(z)):.3g}, but the stepper needs it below 1e100")

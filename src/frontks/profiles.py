@@ -79,10 +79,9 @@ class ProfileCoefficients:
 
 @dataclass(frozen=True, eq=False)
 class ProfileSlice:
-    """Profiles sampled on x_points, the one-sided limits at the front and,
-    for lam > 0, the free constants (None for the mean mode)."""
+    """Profiles sampled at the caller's x_points, the one-sided limits at the
+    front and, for lam > 0, the free constants (None for the mean mode)."""
 
-    x_points: np.ndarray
     u_values: np.ndarray
     v_values: np.ndarray
     u_x_left: float
@@ -110,7 +109,6 @@ def reconstruct_profile(data: FrontModeData, x_points: np.ndarray) -> ProfileSli
         u = np.where(neg, -w * x * ex, 0.0)
         v = np.where(neg, -alpha * w * x * (x + 1.0) * ex, 0.0)
         return ProfileSlice(
-            x_points=x,
             u_values=u,
             v_values=v,
             u_x_left=-w,
@@ -143,7 +141,6 @@ def reconstruct_profile(data: FrontModeData, x_points: np.ndarray) -> ProfileSli
     v_left = c1 + 2.0 * alpha * w / lam + alpha * p
     v_x_left = nu * c1 + 3.0 * alpha * w / lam + 2.0 * alpha * p + (alpha / lam) * (nu / om) * t1
     return ProfileSlice(
-        x_points=x,
         u_values=u,
         v_values=v,
         u_x_left=float(u_x_left),

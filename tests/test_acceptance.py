@@ -21,7 +21,7 @@ from frontks.experiments import (
     run_ks_apriori_check,
     run_stability_scan,
 )
-from frontks.grid import SpectralField, cosine_field, make_grid, random_zero_mean_field
+from frontks.grid import SpectralField, cosine_field, inverse_transform, make_grid, random_zero_mean_field
 from frontks.profiles import FrontModeData, front_time_derivative, jump_residuals, reconstruct_profile
 from frontks.evolve import make_ks_equation
 from frontks.symbols import alpha_critical, build_rescaled_symbols, build_symbols
@@ -188,6 +188,18 @@ def test_criterion_06_convergence_to_limit_equation(sweep):
         assert np.max(rep.ratios) / np.min(rep.ratios) < 3.0
         assert rep.fitted_order >= 0.9
         assert elapsed < 300.0
+
+
+def test_criterion_06_richardson_difference_is_second_order(sweep):
+    _, _, runs = sweep
+    with criterion(6, "sup|2 e(eps/2) - e(eps)| with e = psi_eps - Phi has local orders >= 1.8"):
+        # e = eps Phi_1 + O(eps^2) exactly when the Richardson difference is O(eps^2)
+        ks, *psi = (np.array([inverse_transform(SpectralField(run.grid, c)) for c in run.coeffs]) for run in runs)
+        errors = [values - ks for values in psi]
+        sups = [np.max(np.abs(2.0 * fine - coarse)) for coarse, fine in zip(errors, errors[1:])]
+        orders = np.log2(np.divide(sups[:-1], sups[1:]))
+        assert len(orders) == len(SWEEP_EPSILONS) - 2
+        assert np.all(orders >= 1.8), (sups, orders)
 
 
 def test_criterion_07_remainder_energy():

@@ -125,33 +125,24 @@ def _run_fresh(code: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
-def test_the_profile_audit_loads_on_first_use():
-    # a fresh interpreter, as this session has imported frontks.profiles already
-    code = """
-import sys
-import frontks, frontks.cli
-assert "frontks.profiles" not in sys.modules
-assert frontks.reconstruct_profile is frontks.profiles.reconstruct_profile
-try:
-    frontks.no_such_name
-except AttributeError:
-    pass
-else:
-    raise AssertionError("frontks.no_such_name resolved")
-"""
-    _run_fresh(code)
-
-
-def test_the_report_studies_load_on_first_use(tmp_path):
-    # a fresh interpreter, as this session has imported frontks.experiments already
+def test_the_first_use_submodules_load_when_a_subcommand_reaches_them(tmp_path):
+    # a fresh interpreter, as this session has imported both submodules already;
+    # the package has no hook for them: the code that reaches one imports it by name
     code = f"""
 import sys
 import frontks, frontks.cli
 from frontks.cli import main
-assert "frontks.experiments" not in sys.modules
+lazy = ("frontks.profiles", "frontks.experiments")
+assert not any(m in sys.modules for m in lazy)
 evolve = ["--ell0", "6.283185307179586", "--epsilon", "0.5", "--n-modes", "8", "--t-end", "0.1", "--dt", "0.05"]
 assert main(["evolve-rescaled", *evolve, "--out", {str(tmp_path / "evolve")!r}]) == 0
-assert "frontks.experiments" not in sys.modules
+assert not any(m in sys.modules for m in lazy)
+old = ("FrontModeData", "ProfileCoefficients", "ProfileSlice", "front_time_derivative",
+       "jump_residuals", "reconstruct_profile")
+assert [n for n in old if hasattr(frontks, n)] == []
+profile = ["--ell", "6.283185307179586", "--alpha", "1", "--k", "1", "--phi", "1"]
+assert main(["profiles", *profile, "--out", {str(tmp_path / "profile")!r}]) == 0
+assert "frontks.profiles" in sys.modules and "frontks.experiments" not in sys.modules
 scan = ["--ell", "6.283185307179586", "--n-modes", "8", "--alphas", "1", "--t-end", "0.1", "--dt", "0.05"]
 assert main(["stability-scan", *scan, "--out", {str(tmp_path / "scan")!r}]) == 0
 assert "frontks.experiments" in sys.modules
