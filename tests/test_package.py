@@ -125,24 +125,43 @@ def _run_fresh(code: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
-def test_the_first_use_submodules_load_when_a_subcommand_reaches_them(tmp_path):
-    # a fresh interpreter, as this session has imported both submodules already;
-    # the package has no hook for them: the code that reaches one imports it by name
+def test_the_profile_audit_loads_on_first_use(tmp_path):
+    # a fresh interpreter, as this session has imported frontks.profiles already;
+    # the package has no hook for it: the code that reaches it imports it by name
     code = f"""
 import sys
 import frontks, frontks.cli
 from frontks.cli import main
-lazy = ("frontks.profiles", "frontks.experiments")
-assert not any(m in sys.modules for m in lazy)
+assert "frontks.profiles" not in sys.modules
 evolve = ["--ell0", "6.283185307179586", "--epsilon", "0.5", "--n-modes", "8", "--t-end", "0.1", "--dt", "0.05"]
 assert main(["evolve-rescaled", *evolve, "--out", {str(tmp_path / "evolve")!r}]) == 0
-assert not any(m in sys.modules for m in lazy)
+assert "frontks.profiles" not in sys.modules
 old = ("FrontModeData", "ProfileCoefficients", "ProfileSlice", "front_time_derivative",
        "jump_residuals", "reconstruct_profile")
 assert [n for n in old if hasattr(frontks, n)] == []
+try:
+    frontks.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("frontks.no_such_name resolved")
 profile = ["--ell", "6.283185307179586", "--alpha", "1", "--k", "1", "--phi", "1"]
 assert main(["profiles", *profile, "--out", {str(tmp_path / "profile")!r}]) == 0
 assert "frontks.profiles" in sys.modules and "frontks.experiments" not in sys.modules
+"""
+    _run_fresh(code)
+
+
+def test_the_report_studies_load_on_first_use(tmp_path):
+    # a fresh interpreter, as this session has imported frontks.experiments already
+    code = f"""
+import sys
+import frontks, frontks.cli
+from frontks.cli import main
+assert "frontks.experiments" not in sys.modules
+evolve = ["--ell0", "6.283185307179586", "--epsilon", "0.5", "--n-modes", "8", "--t-end", "0.1", "--dt", "0.05"]
+assert main(["evolve-rescaled", *evolve, "--out", {str(tmp_path / "evolve")!r}]) == 0
+assert "frontks.experiments" not in sys.modules
 scan = ["--ell", "6.283185307179586", "--n-modes", "8", "--alphas", "1", "--t-end", "0.1", "--dt", "0.05"]
 assert main(["stability-scan", *scan, "--out", {str(tmp_path / "scan")!r}]) == 0
 assert "frontks.experiments" in sys.modules
