@@ -58,8 +58,8 @@ def write_csv(path: str, header: list[str], rows) -> None:
     """Header line, then one line per row: str as is, numbers to 17 significant digits.
 
     Each column keeps the type of its first row, so one %-format built from
-    that row serves every line.  Tables of numbers only are written a block
-    of rows at a time, each block one write.
+    that row serves every line.  Every table is written a block of rows at a
+    time, each block one write.
     """
     rows = iter(rows)
     first = next(rows, None)
@@ -69,24 +69,22 @@ def write_csv(path: str, header: list[str], rows) -> None:
             return
         line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\n"
         rows = itertools.chain([first], rows)
-        if "%s" in line:
-            fh.writelines(line % tuple(row) for row in rows)
-            return
         size = max(1, _BLOCK_VALUES // max(1, len(first)))
         while block := list(itertools.islice(rows, size)):
             fh.write(_g17_lines(block, line))
 
 
 def _g17_lines(rows: list, line: str) -> str:
-    """``"".join(line % tuple(row) for row in rows)`` for a ``line`` of %.17g fields only.
+    """``"".join(line % tuple(row) for row in rows)``.
 
-    Rows that make a 2-D array of bools, ints or floats, at least
-    ``_MIN_BLOCK_VALUES`` of them, are formatted from ``_g17_fields``; any
-    others (ragged, ``None``, ints past 64 bits) by ``line`` itself, so they
-    print or raise as they always did.
+    With ``line`` all %.17g fields, rows that make a 2-D array of bools, ints
+    or floats, at least ``_MIN_BLOCK_VALUES`` of them, are formatted from
+    ``_g17_fields``; any others (a %s column, ragged, ``None``, ints past 64
+    bits) by ``line`` itself, so they print or raise as they always did.
     """
     n_cols = line.count("%")
-    if len(rows) * n_cols >= _MIN_BLOCK_VALUES:
+    # a %s column stays str(value) in every block, even one that holds no str
+    if "%s" not in line and len(rows) * n_cols >= _MIN_BLOCK_VALUES:
         try:
             values = np.array(rows)
         except ValueError:  # ragged rows
@@ -266,46 +264,40 @@ def write_json(path: str, payload: dict) -> None:
 # config schema and validation
 
 
-# key -> (kind, help); kind is int | float | str | floats | ints (lists take , or ;)
-KEYS: dict[str, tuple[str, str]] = {
-    "ell": ("float", "spatial period"),
-    "ell0": ("float", "spatial period of the slow frame"),
-    "n_modes": ("int", "basis truncation"),
-    "n_list": ("ints", "increasing basis truncations"),
-    "equation": ("str", "ks | front | rescaled"),
-    "alpha": ("float", "front parameter"),
-    "alphas": ("floats", "front parameters to scan"),
-    "epsilon": ("float", "slow-scale parameter"),
-    "epsilons": ("floats", "decreasing slow-scale parameters"),
-    "t_end": ("float", "final time"),
-    "dt": ("float", "time step"),
-    "output_stride": ("int", "snapshot every this many steps"),
-    "ic": ("str", "initial condition: random | cosine"),
-    "amplitude": ("float", "initial amplitude"),
-    "seed": ("int", "seed for random initial data"),
-    "harmonic": ("int", "cosine harmonic index"),
-    "k": ("int", "mode index (0 for the mean mode)"),
-    "phi": ("float", "front coefficient"),
-    "phiy_sq": ("float", "squared-slope coefficient"),
-    "x_min": ("float", "left end of the profile grid"),
-    "x_max": ("float", "right end of the profile grid"),
-    "x_count": ("int", "number of profile grid points"),
+# the list kinds: items separated by , or ;
+def floats(raw: str) -> list[float]:
+    return [float(p) for p in raw.replace(";", ",").split(",") if p.strip()]
+
+
+def ints(raw: str) -> list[int]:
+    return [int(p) for p in raw.replace(";", ",").split(",") if p.strip()]
+
+
+# key -> (parser, help); the parser's name is the key's kind in --help and in parse errors
+KEYS: dict[str, tuple[Callable[[str], object], str]] = {
+    "ell": (float, "spatial period"),
+    "ell0": (float, "spatial period of the slow frame"),
+    "n_modes": (int, "basis truncation"),
+    "n_list": (ints, "increasing basis truncations"),
+    "equation": (str, "ks | front | rescaled"),
+    "alpha": (float, "front parameter"),
+    "alphas": (floats, "front parameters to scan"),
+    "epsilon": (float, "slow-scale parameter"),
+    "epsilons": (floats, "decreasing slow-scale parameters"),
+    "t_end": (float, "final time"),
+    "dt": (float, "time step"),
+    "output_stride": (int, "snapshot every this many steps"),
+    "ic": (str, "initial condition: random | cosine"),
+    "amplitude": (float, "initial amplitude"),
+    "seed": (int, "seed for random initial data"),
+    "harmonic": (int, "cosine harmonic index"),
+    "k": (int, "mode index (0 for the mean mode)"),
+    "phi": (float, "front coefficient"),
+    "phiy_sq": (float, "squared-slope coefficient"),
+    "x_min": (float, "left end of the profile grid"),
+    "x_max": (float, "right end of the profile grid"),
+    "x_count": (int, "number of profile grid points"),
 }
-
-
-def _parse_value(kind: str, raw: str):
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "str":
-        return raw
-    parts = [p for p in raw.replace(";", ",").split(",") if p.strip()]
-    if kind == "floats":
-        return [float(p) for p in parts]
-    if kind == "ints":
-        return [int(p) for p in parts]
-    raise ValueError(f"unknown kind {kind}")
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -360,15 +352,15 @@ def resolve_config(study: Study, flags: dict[str, str], config: str | None = Non
     violations = [f"unknown key '{key}'" for key in raw if key not in merged]
     raw = {key: text for key, text in raw.items() if key in merged}
     for key, text in raw.items():
-        kind = KEYS[key][0]
+        parse = KEYS[key][0]
         try:
-            merged[key] = _parse_value(kind, text)
+            merged[key] = parse(text)
         except ValueError:
-            violations.append(f"key '{key}': cannot parse '{text}' as {kind}")
+            violations.append(f"key '{key}': cannot parse '{text}' as {parse.__name__}")
             continue
         if merged[key] == []:
             violations.append(f"key '{key}': empty list")
-        elif kind in ("float", "floats") and not np.all(np.isfinite(merged[key])):
+        elif parse in (float, floats) and not np.all(np.isfinite(merged[key])):
             violations.append(f"key '{key}': must be finite, got '{text}'")
     violations += [f"missing required key '{k}'" for k in study.required if k not in raw]
     if violations:
@@ -656,7 +648,8 @@ def _usage(names) -> str:
         lines.append(name)
         for key in [*study.required, *study.optional]:
             note = "required" if key in study.required else f"default: {study.optional[key]}"
-            lines.append("  --%-14s%-8s%s (%s)" % (key.replace("_", "-"), *KEYS[key], note))
+            parse, text = KEYS[key]
+            lines.append("  --%-14s%-8s%s (%s)" % (key.replace("_", "-"), parse.__name__, text, note))
     return "\n".join(lines)
 
 

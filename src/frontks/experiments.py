@@ -106,6 +106,10 @@ def run_stability_scan(
     if not np.any(phi0.coeffs):
         # the zero field is the null solution itself: nothing would be perturbed
         raise ValueError("amplitude must be non-zero")
+    if np.sum(phi0.coeffs[1:] ** 2) < np.finfo(float).tiny:
+        # the squared norms would underflow to 0, every fitted rate to -inf, every verdict to stable
+        raise ValueError("amplitude too small: the squares of the initial field's zero-mean part "
+                         "underflow (amplitude below about 1.5e-154)")
     a_c = alpha_critical(phi0.grid.period)
     configs = [
         (float(alpha), SolverConfig(make_front_equation(alpha, phi0.grid), phi0, dt, t_end, output_stride))

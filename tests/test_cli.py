@@ -348,6 +348,29 @@ def test_block_formatter_matches_format_17g_byte_for_byte():
         assert frontks.cli._g17_lines(rows, ",".join(["%.17g"] * 8) + "\n") == _g17_reference(rows)
 
 
+@pytest.mark.parametrize("width", [7, 9])
+def test_ragged_rows_raise_the_format_error_not_a_config_error(width):
+    # a ragged block makes no array; the row that does not fit the line raises as "%" does
+    line = ",".join(["%.17g"] * 8) + "\n"
+    rows = [[0.5] * 8] * 63 + [[0.5] * width]
+    assert len(rows) * 8 >= frontks.cli._MIN_BLOCK_VALUES
+    with pytest.raises(TypeError) as want:
+        line % tuple(rows[-1])
+    with pytest.raises(TypeError) as got:
+        frontks.cli._g17_lines(rows, line)
+    assert str(got.value) == str(want.value)
+
+
+def test_write_csv_keeps_a_str_column_str_in_a_block_without_str(tmp_path):
+    # the column's type comes from the first row: a later block of floats there prints them with %s
+    rows = [["label", 0.1]] + [[0.1, 0.1]] * (2 * frontks.cli._BLOCK_VALUES)
+    path = tmp_path / "rows.csv"
+    write_csv(str(path), ["a", "b"], iter(rows))
+    assert path.read_text().split("\n", 1)[1] == "label,0.10000000000000001\n" + "0.1,0.10000000000000001\n" * (
+        len(rows) - 1
+    )
+
+
 _ROWS_PER_BLOCK = frontks.cli._BLOCK_VALUES // 129
 
 
@@ -542,6 +565,34 @@ def test_stability_scan_rejects_zero_amplitude_before_evolving(tmp_path, monkeyp
     assert len(evolved) == 2
     header, rows = _read_csv(tmp_path / "negative" / "scan.csv")
     assert [row[header.index("verdict")] for row in rows] == ["stable", "unstable"]
+
+
+def test_stability_scan_rejects_an_amplitude_whose_squares_underflow(tmp_path, monkeypatch, capsys):
+    # at 1e-300 every squared coefficient is 0, so alpha = 3 > alpha_c = 2 would read "stable" at rate -inf
+    evolved = []
+    original = frontks.experiments.evolve
+
+    def counted(config):
+        evolved.append(config)
+        return original(config)
+
+    monkeypatch.setattr(frontks.experiments, "evolve", counted)
+    argv = [
+        "stability-scan", "--ell", "12.566370614359172", "--n-modes", "16",
+        "--alphas", "1.5,3", "--t-end", "1", "--dt", "0.01",
+    ]
+    rc = main([*argv, "--amplitude", "1e-300", "--out", str(tmp_path / "tiny")])
+    assert rc == EXIT_CONFIG
+    assert evolved == []
+    (violation,) = json.loads(capsys.readouterr().err)["violations"]
+    assert violation.startswith("amplitude too small")
+    assert not (tmp_path / "tiny").exists()
+    # just above the floor the verdicts are right
+    rc = main([*argv, "--amplitude", "1e-150", "--out", str(tmp_path / "small")])
+    assert rc == EXIT_OK
+    header, rows = _read_csv(tmp_path / "small" / "scan.csv")
+    assert [row[header.index("verdict")] for row in rows] == ["stable", "unstable"]
+    assert all(math.isfinite(float(row[header.index("measured_rate")])) for row in rows)
 
 
 @pytest.mark.filterwarnings("error")
@@ -1149,6 +1200,28 @@ CONFIG_SURFACE = {
         {"equation": "ks", "alpha": None, "epsilon": None, "amplitude": 1.0, "harmonic": 1, "output_stride": 10},
     ),
 }
+
+
+# key -> the kind --help prints for it, the name of its parser
+KEY_KINDS = {
+    "ell": "float", "ell0": "float", "n_modes": "int", "n_list": "ints", "equation": "str",
+    "alpha": "float", "alphas": "floats", "epsilon": "float", "epsilons": "floats",
+    "t_end": "float", "dt": "float", "output_stride": "int", "ic": "str", "amplitude": "float",
+    "seed": "int", "harmonic": "int", "k": "int", "phi": "float", "phiy_sq": "float",
+    "x_min": "float", "x_max": "float", "x_count": "int",
+}
+
+
+def test_help_pins_the_kind_of_every_key(capsys):
+    assert main(["--help"]) == EXIT_OK
+    kinds = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  --"):
+            flag, kind = line.split()[:2]
+            kinds.setdefault(flag[2:].replace("-", "_"), set()).add(kind)
+    assert kinds == {key: {kind} for key, kind in KEY_KINDS.items()}
+    assert main(["stability-scan", "--help"]) == EXIT_OK
+    assert "  --alphas        floats  front parameters to scan (required)\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name", list(CONFIG_SURFACE))

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import frontks.experiments
-from frontks.evolve import EquationDescriptor, make_front_equation, make_ks_equation
+from frontks.evolve import EquationDescriptor, Trajectory, make_front_equation, make_ks_equation
 from frontks.experiments import (
     fit_log_slope,
+    measured_growth_rate,
     run_convergence_study,
     run_energy_monitor,
     run_galerkin_refinement,
@@ -50,6 +51,18 @@ def test_threshold_bracketing_scan():
         if abs(p) > 1e-3:
             assert abs(m - p) < 0.1 * abs(p), a
     assert report.anomalies == []
+
+
+def test_measured_growth_rate_is_minus_inf_when_a_norm_in_its_window_is_zero():
+    times = np.linspace(0.0, 1.0, 11)
+    norms = np.exp(-times)
+    traj = Trajectory(None, times, np.zeros((11, 3)), {"zero_mean_l2": norms})
+    assert measured_growth_rate(traj) == pytest.approx(-1.0, rel=1e-12)
+    norms[-2] = 0.0
+    assert measured_growth_rate(traj) == -np.inf
+    # a zero before the window does not count
+    norms[-2], norms[0] = np.exp(-0.9), 0.0
+    assert measured_growth_rate(traj) == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_scan_reports_blowup_as_anomaly_not_crash():
