@@ -505,7 +505,7 @@ def _cmd_profiles(cfg) -> tuple[int, dict]:
 # the study table
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Study:
     """One subcommand: its config keys and what it runs.
 

@@ -122,11 +122,10 @@ class Etdrk4:
         zu, inv = np.unique(z, return_inverse=True)
         lo = zu.searchsorted(-_CONTOUR_BELOW, "right")
         hi = zu.searchsorted(_CONTOUR_BELOW)
+        far = np.r_[:lo, hi : zu.size]
         phi = np.empty((4, zu.size))
-        for row, on_circle in zip(phi, _phi(zu[lo:hi, None] + _CONTOUR)):
-            row[lo:hi] = on_circle.mean(1).real
-        for far in (slice(None, lo), slice(hi, None)):
-            phi[:, far] = _phi(zu[far])
+        phi[:, lo:hi] = np.mean(_phi(zu[lo:hi, None] + _CONTOUR), axis=-1).real
+        phi[:, far] = _phi(zu[far])
         self.coeff_q, self.coeff_f1, self.coeff_f2, self.coeff_f3 = dt * phi[:, inv]
         self._two_f2 = 2.0 * self.coeff_f2
         grid = descriptor.grid
@@ -290,7 +289,7 @@ def evolve(config: SolverConfig) -> Trajectory:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class MeanModeCheck:
     """Finite-difference audit of the mean-mode law p' = -1/2 mean((slope)^2)."""
 

@@ -152,6 +152,11 @@ class ConvergenceReport:
     ratios: np.ndarray       # sup_errors / eps
     fitted_order: float      # log-log slope; the first-order claim means >= ~1
     zeta_sup_l2: np.ndarray  # sup over snapshots of |D (psi_eps - Phi)/eps|_2
+    # per consecutive pair, sup over snapshots and collocation points of the Richardson
+    # difference (eps_i e_{i+1} - eps_{i+1} e_i)/(eps_i - eps_{i+1}) of e = psi_eps - Phi,
+    # 2 e(eps/2) - e(eps) for halving eps; nan if either run or the K-S run blew up
+    richardson_sup: np.ndarray
+    richardson_order: np.ndarray  # local orders of consecutive richardson_sup values, >= ~2 when e = eps Phi_1 + O(eps^2)
     blowups: list[float]
 
 
@@ -180,18 +185,34 @@ def run_convergence_study(
         for eps in epsilons
     ]
     slope_w = slope_energy_weights(grid)
-    sup_errors, zeta_sups, blowups = [], [], []
+    sup_errors, zeta_sups, gaps, blowups = [], [], [], []
     ks_traj, *trajs = (traj for _, traj in _evolve_each(configs, blowups))
     for traj in trajs:
         if traj.blown_up or ks_traj.blown_up:
             # a run cut short has no gap to measure; its snapshots stop early
             sup_errors.append(np.nan)
             zeta_sups.append(np.nan)
+            gaps.append(None)
             continue
         diff = traj.coeffs - ks_traj.coeffs
-        values = np.fft.irfft(_pack(grid, diff), grid.n_points, norm="forward")
-        sup_errors.append(float(np.max(np.abs(values))))
+        gaps.append(np.fft.irfft(_pack(grid, diff), grid.n_points, norm="forward"))
+        sup_errors.append(float(np.max(np.abs(gaps[-1]))))
         zeta_sups.append(float(np.max(np.sqrt(diff**2 @ slope_w))))
+    richardson = np.array([
+        np.nan if coarse is None or fine is None else float(np.max(np.abs(a * fine - b * coarse))) / (a - b)
+        for a, b, coarse, fine in zip(epsilons, epsilons[1:], gaps, gaps[1:])
+    ])
+    # richardson[i] = eps_i eps_{i+1} |Phi_2| + ..., the size at the scale sqrt(eps_i eps_{i+1}), so the
+    # local order of a consecutive pair is 2 log(R_i/R_{i+1}) / log(eps_i/eps_{i+2}): log2(R_i/R_{i+1})
+    # for halving eps.  Logs only of positive finite values, and no division by a zero span, so no warning
+    usable = (richardson > 0) & (richardson < np.inf)
+    log_r = np.log(richardson, out=np.zeros_like(richardson), where=usable)
+    log_eps = np.log(epsilons)
+    span = log_eps[:-2] - log_eps[2:]
+    richardson_order = np.divide(
+        2.0 * (log_r[:-1] - log_r[1:]), span, out=np.full(span.shape, np.nan),
+        where=usable[:-1] & usable[1:] & (span > 0),
+    )
     sup_errors = np.asarray(sup_errors)
     fittable = sup_errors > 0  # nan rows fail it
     order = fit_log_slope(epsilons[fittable], sup_errors[fittable]) if fittable.sum() >= 2 else np.nan
@@ -201,6 +222,8 @@ def run_convergence_study(
         ratios=sup_errors / epsilons,
         fitted_order=order,
         zeta_sup_l2=np.asarray(zeta_sups) / epsilons,
+        richardson_sup=richardson,
+        richardson_order=richardson_order,
         blowups=blowups,
     )
 
@@ -268,8 +291,8 @@ class KsAprioriReport:
     mean_bounds: np.ndarray    # |mean(0)| + (3/26) |Phi_eta(0)|_2^2 e^(13 tau/3)
     slope_bound_ok: bool
     mean_bound_ok: bool
-    min_slope_margin: float    # min(bound - value), >= 0 when the bound holds
-    min_mean_margin: float
+    min_slope_margin: float    # min over tau > 0 of (bound - value), >= 0 when the bound holds
+    min_mean_margin: float     # likewise; both nan when no snapshot past tau = 0 was kept
     blowups: list[float]       # [0.0] when the K-S run blew up, else empty
 
 
@@ -286,6 +309,12 @@ def run_ks_apriori_check(
     slope_bound = np.exp(13.0 * times / 6.0) * slope[0]
     mean_abs = np.abs(trajectory.diagnostics["mean"])
     mean_bound = mean_abs[0] + (3.0 / 26.0) * slope[0] ** 2 * np.exp(13.0 * times / 3.0)
+    # the margins over tau > 0: at tau = 0 the slope bound is the slope norm itself, so a
+    # minimum over it would read 0.0; a run that blew up in its first step has no tau > 0
+    slope_margin, mean_margin = (
+        float(np.min(bound[1:] - value[1:])) if len(times) > 1 else np.nan
+        for bound, value in ((slope_bound, slope), (mean_bound, mean_abs))
+    )
     return KsAprioriReport(
         times=times.copy(),
         slope_norms=slope,
@@ -294,8 +323,8 @@ def run_ks_apriori_check(
         mean_bounds=mean_bound,
         slope_bound_ok=bool(np.all(slope <= slope_bound * (1 + 1e-12))),
         mean_bound_ok=bool(np.all(mean_abs <= mean_bound * (1 + 1e-12))),
-        min_slope_margin=float(np.min(slope_bound - slope)),
-        min_mean_margin=float(np.min(mean_bound - mean_abs)),
+        min_slope_margin=slope_margin,
+        min_mean_margin=mean_margin,
         blowups=blowups,
     )
 

@@ -68,7 +68,7 @@ def front_time_derivative(alpha: float, lam: float, phi: float, phiy_sq: float) 
     return growth * phi + gain * phiy_sq
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ProfileCoefficients:
     """Free constants of the enthalpy profile: c1 (x < 0 tail), c2 (x > 0 tail)."""
 
@@ -77,7 +77,7 @@ class ProfileCoefficients:
     nu: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class ProfileSlice:
     """Profiles sampled at the caller's x_points, the one-sided limits at the
     front and, for lam > 0, the free constants (None for the mean mode)."""
@@ -152,7 +152,7 @@ def reconstruct_profile(data: FrontModeData, x_points: np.ndarray) -> ProfileSli
     )
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class JumpResiduals:
     """How well the reconstructed profiles honour the front conditions at x = 0."""
 

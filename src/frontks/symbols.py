@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class SymbolTable:
     """Per-mode multipliers of the unrescaled front equation at parameter alpha."""
 
@@ -51,7 +51,7 @@ class SymbolTable:
     quad_gain: np.ndarray      # g = f/b
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class RescaledSymbolTable:
     """Per-mode multipliers of the slow-scale equation at parameter eps in (0, 1]."""
 
@@ -105,7 +105,7 @@ def build_rescaled_symbols(epsilon: float, grid: SpectralGrid) -> RescaledSymbol
     return RescaledSymbolTable(float(epsilon), grid, x, delta, b, s, f, h, m)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class SymbolBoundsReport:
     """Observed constants of the slow-scale multipliers vs their analytic bounds.
 
@@ -115,8 +115,8 @@ class SymbolBoundsReport:
     epsilon: float
     max_mass_correction_ratio: float    # max |h|/lam, bound 6 + 2 eps, from the slack
     max_quad_correction_ratio: float    # max |m|/(2 sqrt(eps) lam^(3/2) + 25 lam), bound 1, from the slack
-    min_mass_slack: float               # min (b - 1 - 4 eps lam) = min (1 + eps) r, bound >= 0
-    min_sqrt_shift: float               # min r, bound >= 0
+    min_mass_slack: float               # min over lam > 0 of (b - 1 - 4 eps lam) = (1 + eps) r, bound >= 0
+    min_sqrt_shift: float               # min over lam > 0 of r, bound >= 0
     mass_correction_ok: bool
     quad_correction_ok: bool
     mass_slack_ok: bool
@@ -150,7 +150,8 @@ def verify_symbol_bounds(table: RescaledSymbolTable) -> SymbolBoundsReport:
         2.0 * a * (r + a * b + xp1) / (a + b) + 25.0 * xp1 + 7.0 + 4.0 * eps,
         xp1 * (a * b + 25.0) + q,
     )
-    rmin = float(np.min(table.sqrt_shift))
+    # over lam > 0: the mean mode's r is 0 in every table, so a minimum over it would read 0.0
+    rmin = float(np.min(r))
     mass_slack = (1.0 + eps) * rmin  # = min (1 + eps) r, as rounding is monotone
     return SymbolBoundsReport(
         epsilon=eps,

@@ -191,7 +191,7 @@ def test_criterion_06_convergence_to_limit_equation(sweep):
 
 
 def test_criterion_06_richardson_difference_is_second_order(sweep):
-    _, _, runs = sweep
+    rep, _, runs = sweep
     with criterion(6, "sup|2 e(eps/2) - e(eps)| with e = psi_eps - Phi has local orders >= 1.8"):
         # e = eps Phi_1 + O(eps^2) exactly when the Richardson difference is O(eps^2)
         ks, *psi = (np.array([inverse_transform(SpectralField(run.grid, c)) for c in run.coeffs]) for run in runs)
@@ -200,6 +200,10 @@ def test_criterion_06_richardson_difference_is_second_order(sweep):
         orders = np.log2(np.divide(sups[:-1], sups[1:]))
         assert len(orders) == len(SWEEP_EPSILONS) - 2
         assert np.all(orders >= 1.8), (sups, orders)
+        # the report carries the same evidence; it transforms psi_eps - Phi, not each run, which
+        # moves a sup by round-off of the gaps (1e-17 against sups down to 1.3e-8)
+        np.testing.assert_allclose(rep.richardson_sup, sups, rtol=1e-8)
+        np.testing.assert_allclose(rep.richardson_order, orders, rtol=1e-8)
 
 
 def test_criterion_07_remainder_energy():

@@ -169,6 +169,19 @@ def test_ks_apriori_short_run_has_margin():
     rep = run_ks_apriori_check(cosine_field(grid, 0.1, 1), 2.0, 1e-3, output_stride=100)
     assert rep.slope_bound_ok and rep.mean_bound_ok
     assert rep.min_mean_margin > 0
+    # the margins are taken over tau > 0: at tau = 0 the slope bound is the slope norm itself
+    slope_margins = rep.slope_bounds - rep.slope_norms
+    mean_margins = rep.mean_bounds - rep.mean_abs
+    assert slope_margins[0] == 0.0
+    assert rep.min_slope_margin == np.min(slope_margins[1:]) > 0.0
+    assert rep.min_mean_margin == np.min(mean_margins[1:]) > mean_margins[0]
+
+
+def test_ks_apriori_first_step_blowup_has_no_margins():
+    grid = make_grid(80.0, 64)
+    rep = run_ks_apriori_check(cosine_field(grid, 50.0, 1), 50.0, 5.0)
+    assert rep.blowups == [0.0] and list(rep.times) == [0.0]
+    assert np.isnan(rep.min_slope_margin) and np.isnan(rep.min_mean_margin)
 
 
 def test_galerkin_linear_problem_identical_beyond_active_band():

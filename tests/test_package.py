@@ -208,6 +208,23 @@ def test_every_record_has_a_docstring_of_its_own(cls):
     assert cls.__doc__ and cls.__doc__ != generated
 
 
+# a record is frozen only when its constructor checks or derives its fields, or a frozen
+# record's check reads it (SolverConfig's grid check reads the descriptor's grid); the
+# rest are plain, which builds two methods per class at import instead of four or six
+FROZEN_RECORDS = {
+    "grid.SpectralGrid", "grid.SpectralField", "evolve.EquationDescriptor", "evolve.SolverConfig",
+    "profiles.FrontModeData",
+}
+VALUE_RECORDS = {"grid.SpectralGrid", "profiles.FrontModeData"}
+
+
+def test_a_record_is_frozen_only_when_a_constructor_check_relies_on_it():
+    params = {f"{cls.__module__.split('.')[-1]}.{cls.__name__}": cls.__dataclass_params__ for cls in _records()}
+    assert {name for name, p in params.items() if p.frozen} == FROZEN_RECORDS
+    # every other record compares by identity
+    assert {name for name, p in params.items() if p.eq} == VALUE_RECORDS
+
+
 def _array_records():
     """One factory per record type that holds arrays, directly or through a field."""
     from frontks import experiments, profiles

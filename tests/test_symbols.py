@@ -212,6 +212,15 @@ def test_bounds_report_small_epsilon_sweep():
     assert rep.min_mass_slack >= 0.0
 
 
+@pytest.mark.parametrize("eps", [1.0, 0.01, 1e-20])
+def test_bounds_report_minima_are_taken_over_positive_eigenvalues(eps):
+    # the mean mode has r = 0 in every table: a minimum over it would read 0.0 whatever the table
+    table = build_rescaled_symbols(eps, make_grid(10 * np.pi, 16))
+    rep = verify_symbol_bounds(table)
+    assert rep.min_sqrt_shift == table.sqrt_shift[1] > 0.0
+    assert rep.min_mass_slack == (1.0 + eps) * table.sqrt_shift[1] > 0.0
+
+
 def test_bounds_report_holds_at_every_period_down_to_1e_60():
     # |m| tends to its envelope from below as lam grows (eps = 1), and h/lam tends to its
     # bound 6 + 2 eps from below as lam shrinks (tiny eps); a ratio formed from |m| or h and
