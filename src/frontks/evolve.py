@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SpectralField, SpectralGrid, _pack, _square_spectrum, slope_energy_weights
+from .grid import SpectralField, SpectralGrid, _slope_squarer, slope_energy_weights
 from .symbols import build_rescaled_symbols, build_symbols
 
 __all__ = [
@@ -44,11 +44,10 @@ BLOWUP_NORM = 1e8
 # Etdrk4 evaluates the nonlinear term by two dense matrix-vector products on the
 # collocation points up to this many modes and by an FFT pair above it: for a
 # few hundred points a matrix product beats the per-call cost of an FFT.  Time
-# per nonlinear call, matrices over FFT (5-smooth n_points, buffered FFT path),
-# single-threaded BLAS on a 2-core x86 box: 0.18-0.19 at N=64, 0.23-0.31 at 96,
-# 0.43-0.49 at 128, 0.58-0.78 at 160-192, 1.5-1.9 at 256; the crossover stays
-# between 192 and 256.  Above 128 the margin shrinks while the matrices' memory
-# and build grow as N^2.
+# per nonlinear call, matrices over FFT, single-threaded BLAS on a 2-core x86
+# box: 0.29-0.30 at N=64, 0.39 at 96, 0.52-0.53 at 128, 0.74-0.75 at 160,
+# 1.07-1.19 at 192, 1.8-2.3 at 256.  Above 128 the margin shrinks while the
+# matrices' memory and build grow as N^2.
 MATRIX_MAX_MODES = 128
 
 # The closed forms of the phi functions lose digits to cancellation near z = 0
@@ -134,12 +133,7 @@ class Etdrk4:
             self._slope, analysis = grid._collocation_matrices
             self._analysis = descriptor.nonlinear_symbol[:, None] * analysis
         else:
-            # the FFT path's buffers, rewritten by every nonlinear call: the
-            # packed spectrum (zeroed once: _pack never writes Im z_0 or an
-            # unpaired Im z_K), its derivative, and the transforms' outputs
-            self._packed = np.zeros(2 * grid.max_harmonic + 2)
-            self._packed_slope = np.empty(grid.max_harmonic + 1, complex)
-            self._transformed = (np.empty(grid.n_points), np.empty(grid.n_points // 2 + 1, complex))
+            self._slope_square = _slope_squarer(grid)
 
     def nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
         """G * dealiased (d/dy coeffs)^2, as a new array; coeffs is only read."""
@@ -148,12 +142,7 @@ class Etdrk4:
             slope = self._slope.dot(coeffs)
             slope *= slope
             return self._analysis.dot(slope)
-        # the derivative taken in the packed spectrum, out of place: an in-place
-        # product would turn the packed buffer's permanent zeros into NaN after
-        # one non-finite input (inf * 0), and every later call would be wrong
-        grid = self.descriptor.grid
-        np.multiply(_pack(grid, coeffs, self._packed), grid._ik, out=self._packed_slope)
-        slope_sq = _square_spectrum(grid, self._packed_slope, self._transformed)
+        slope_sq = self._slope_square(coeffs)
         slope_sq *= self.descriptor.nonlinear_symbol
         return slope_sq
 

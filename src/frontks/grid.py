@@ -159,12 +159,10 @@ def eigenvalue(period: float, k):
     return q * q
 
 
-def _pack(grid: SpectralGrid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _pack(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     """Real-basis coefficients -> half-complex spectrum z_0..z_K (rfft layout).
 
     Leading axes are batch axes: each row along the last axis is packed alone.
-    out, if given, is a float buffer of the packed shape to write into; the
-    slots this never writes (Im z_0 and an unpaired Im z_K) must hold zeros.
 
     The values at n collocation points are irfft(z, n, norm="forward").  As a
     float array, z interleaves (Re z_j, Im z_j), which lines up with the
@@ -172,7 +170,7 @@ def _pack(grid: SpectralGrid, coeffs: np.ndarray, out: np.ndarray | None = None)
     sign of each sin and the phase (-1)^j from points starting at -L/2.  An
     even truncation leaves the top cosine unpaired, so Im z_K stays zero.
     """
-    buf = np.zeros((*coeffs.shape[:-1], 2 * grid.max_harmonic + 2)) if out is None else out
+    buf = np.zeros((*coeffs.shape[:-1], 2 * grid.max_harmonic + 2))
     buf[..., 0] = coeffs[..., 0]
     np.divide(coeffs[..., 1:], grid._coeff_scale[1:], out=buf[..., 2 : grid.n_modes + 1])
     return buf.view(complex)
@@ -213,20 +211,43 @@ def differentiate(field: SpectralField) -> SpectralField:
     return SpectralField(grid, _unpack(grid, _pack(grid, field.coeffs) * grid._ik))
 
 
-def _square_spectrum(
-    grid: SpectralGrid, spectrum: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
-) -> np.ndarray:
+def _square_spectrum(grid: SpectralGrid, spectrum: np.ndarray) -> np.ndarray:
     """Real-basis coefficients of the square of the function with this _pack spectrum.
 
     One FFT pair: n_points >= 3K + 1 resolves every harmonic of the product
-    that could alias onto a retained one; truncating back to n_modes drops
-    the rest.  out, if given, is the (values, product spectrum) pair of
-    buffers for the two transforms to write into; the result is new either way.
+    that could alias onto a retained one; truncating to n_modes drops the rest.
     """
-    values, product = (None, None) if out is None else out
-    values = np.fft.irfft(spectrum, grid.n_points, norm="forward", out=values)
+    values = np.fft.irfft(spectrum, grid.n_points, norm="forward")
     values *= values
-    return _unpack(grid, np.fft.rfft(values, norm="forward", out=product))
+    return _unpack(grid, np.fft.rfft(values, norm="forward"))
+
+
+def _slope_squarer(grid: SpectralGrid):
+    """coeffs -> _square_spectrum(grid, _pack(grid, coeffs) * grid._ik) as a new array, bit for bit.
+
+    Buffers and views are made once, so a call is only its arithmetic.  The derivative is out of place,
+    as inf * 0 would make the packed buffer's permanent zeros NaN.  Only what _unpack reads (Re z_0 and
+    n_modes values from Im z_0 on) gets the forward 1/n_points: exact, as norm="forward" is that multiply.
+    """
+    n_points, n_modes, scale, ik = grid.n_points, grid.n_modes, grid._coeff_scale, grid._ik
+    packed, product = np.zeros(2 * grid.max_harmonic + 2), np.empty(n_points // 2 + 1, complex)
+    pairs, spectrum, flat = packed[2 : n_modes + 1], packed.view(complex), product.view(float)
+    slope, values, inv_n = np.empty_like(spectrum), np.empty(n_points), 1.0 / n_points
+    pair_scale, kept, kept_pairs = scale[1:], flat[: n_modes + 1], flat[1 : n_modes + 1]
+
+    def square(coeffs: np.ndarray) -> np.ndarray:
+        packed[0] = coeffs[0]
+        np.divide(coeffs[1:], pair_scale, out=pairs)
+        np.multiply(spectrum, ik, out=slope)
+        np.fft.irfft(slope, n_points, norm="forward", out=values)
+        np.multiply(values, values, out=values)
+        np.fft.rfft(values, out=product)
+        np.multiply(kept, inv_n, out=kept)
+        out = kept_pairs * scale
+        out[0] = flat[0]
+        return out
+
+    return square
 
 
 def dealiased_square(field: SpectralField) -> SpectralField:

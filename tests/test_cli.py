@@ -1113,6 +1113,24 @@ def test_benchmark_layer_boundaries_are_module_attributes(tmp_path, monkeypatch)
         "_cmd_evolve": 1, "evolve": 1, "write_csv": 2, "run_stability_scan": 1,
         "experiments.evolve": 2, "step_coeffs": 10 + 2 * 10, "nonlinear": 4 * (10 + 2 * 10),
     }
+    # above MATRIX_MAX_MODES every nonlinear call is one irfft and one rfft, looked
+    # up on np.fft when it runs, whether the stepper was built before or after
+    calls.clear()
+    stepper = Etdrk4(frontks.make_ks_equation(frontks.make_grid(80.0, 160)), 0.002)
+    count(np.fft, "rfft")
+    count(np.fft, "irfft")
+    stepper.step_coeffs(np.ones(160))
+    assert calls == {"step_coeffs": 1, "nonlinear": 4, "rfft": 4, "irfft": 4}
+    calls.clear()
+    rc = main([
+        "galerkin", "--equation", "ks", "--ell", "80", "--n-list", "130,160", "--amplitude", "12.7",
+        "--t-end", "0.01", "--dt", "0.002", "--out", str(tmp_path / "ladder"),
+    ])
+    assert rc == EXIT_OK
+    assert calls == {
+        "experiments.evolve": 2, "write_csv": 1, "step_coeffs": 2 * 5, "nonlinear": 4 * 2 * 5,
+        "rfft": 4 * 2 * 5, "irfft": 4 * 2 * 5,
+    }
 
 
 def test_t_end_off_the_step_lattice_is_a_config_error(tmp_path, capsys):

@@ -319,13 +319,15 @@ def _unbuffered_nonlinear(descriptor):
 
 
 def _arrays(stepper):
+    # the arrays the stepper holds, directly or in the cells of a closure
     for value in vars(stepper).values():
-        yield from (a for a in (value if isinstance(value, tuple) else (value,))
-                    if isinstance(a, np.ndarray))
+        cells = getattr(value, "__closure__", None) or ()
+        yield from (a for a in (value, *(c.cell_contents for c in cells)) if isinstance(a, np.ndarray))
 
 
-# all on the FFT path; 256 and 2048 leave the top cosine unpaired
-FFT_PATH_MODES = [129, 256, 257, 2048]
+# all on the FFT path; 256, 512, 1024 and 2048 leave the top cosine unpaired,
+# and 512, 1024 and 2048 take the 800, 1600 and 3200 points of perfbench's ladder
+FFT_PATH_MODES = [129, 256, 257, 512, 1024, 2048]
 
 
 @pytest.mark.parametrize("equation", sorted(EQUATIONS))
