@@ -5,6 +5,10 @@ evolution law that is diagonal per Fourier mode; this package evaluates
 the operator multipliers in closed form, integrates the equation (and its
 Kuramoto-Sivashinsky limit) with an exponential Runge-Kutta scheme, and
 re-derives the underlying free-boundary profiles as a numerical audit.
+
+The function ``evolve`` shadows its submodule: ``import frontks.evolve as ev``
+binds the function, so reach the module's names with
+``from frontks.evolve import Etdrk4, MATRIX_MAX_MODES``.
 """
 
 from .grid import (

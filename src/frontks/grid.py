@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,15 +266,70 @@ def slope_energy_weights(grid: SpectralGrid) -> np.ndarray:
     return np.abs(grid._ik[(np.arange(grid.n_modes) + 1) // 2]) ** 2
 
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash of 32-bit words, its constant advancing by ``mult`` per word."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _pcg64_seed(seed: int) -> tuple[int, int]:
+    """numpy's SeedSequence(seed).generate_state(4, uint64) as PCG64's (initstate, initseq)."""
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out = _hasher(0x8B51F9DD, 0x58F38DED)
+    state = [out(pool[i % 4]) for i in range(8)]
+    w = [state[2 * i] | state[2 * i + 1] << 32 for i in range(4)]
+    return w[0] << 64 | w[1], w[2] << 64 | w[3]
+
+
+def _uniforms(seed: int, n: int) -> list[float]:
+    """n draws on [-1, 1) of PCG64 (XSL-RR output of a 128-bit LCG, O'Neill 2014) seeded as numpy seeds it."""
+    initstate, initseq = _pcg64_seed(seed)
+    mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, (initseq << 1 | 1) & _MASK128
+    state = ((inc + initstate) * mult + inc) & _MASK128
+    out = []
+    for _ in range(n):
+        state = (state * mult + inc) & _MASK128
+        rot, x = state >> 122, (state >> 64 ^ state) & _MASK64
+        out.append(-1.0 + 2.0 * ((((x >> rot | x << (64 - rot)) & _MASK64) >> 11) * 2.0**-53))
+    return out
+
+
 def random_zero_mean_field(grid: SpectralGrid, amplitude: float, seed: int) -> SpectralField:
     """Seeded random zero-mean field with coefficients decaying like lam^(-2).
 
-    Rescaled so the L2 (coefficient) norm equals ``amplitude``.
+    Rescaled so the L2 (coefficient) norm equals ``|amplitude|``.  The raw
+    draws are frontks's own PCG64 stream (_uniforms), which equals numpy
+    2.4's ``default_rng(seed).uniform(-1, 1, n_modes)`` bit for bit (a test
+    checks it), so a seeded field does not rest on numpy keeping its
+    Generator streams stable, which NEP 19 does not promise.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
-    raw = rng.uniform(-1.0, 1.0, grid.n_modes)
+    raw = np.array(_uniforms(operator.index(seed), grid.n_modes))
     coeffs = np.zeros(grid.n_modes)
     lam = grid.eigenvalues
     coeffs[1:] = raw[1:] * (lam[1] / lam[1:]) ** 2.0

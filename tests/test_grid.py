@@ -1,6 +1,7 @@
 """Spectral core: transforms, calculus, products, norms, projections."""
 
 import dataclasses
+import operator
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from frontks.grid import (
     SpectralField,
     _pack,
     _unpack,
+    _uniforms,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -334,3 +336,39 @@ def test_random_field_profile():
     # decay: top-mode coefficient suppressed by (lam_1/lam_max)^2
     top = np.max(np.abs(f.coeffs[-2:]))
     assert top < 1e-3 * (grid.eigenvalues[1] / grid.eigenvalues[-1]) ** 2 * 10
+
+
+# 2**32 - 1 .. 2**64 + 1 take one to three 32-bit words; 2**200 + 3 takes
+# seven, so SeedSequence's loop over the words past its pool of four runs
+STREAM_SEEDS = [*range(1000), 2**32 - 1, 2**32, 2**64 + 1, 2**200 + 3, True, np.int64(3)]
+
+
+@pytest.mark.parametrize("n", [3, 8, 64, 129])
+def test_the_stream_equals_numpys_generator_bit_for_bit(n):
+    for seed in STREAM_SEEDS:
+        want = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        got = np.array(_uniforms(operator.index(seed), n))
+        assert got.tobytes() == want.tobytes(), seed
+        field = random_zero_mean_field(make_grid(TWO_PI, n), 1.0, seed)
+        assert field.coeffs.tobytes() == _unit_field(want).tobytes(), seed
+
+
+def _unit_field(raw):
+    """random_zero_mean_field's coefficients at amplitude 1 and period 2 pi from the raw draws raw."""
+    lam = make_grid(TWO_PI, raw.size).eigenvalues
+    coeffs = np.zeros(raw.size)
+    coeffs[1:] = raw[1:] * (lam[1] / lam[1:]) ** 2.0
+    coeffs *= 1.0 / np.sqrt(np.sum(coeffs**2))
+    return coeffs
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", [3]])
+def test_a_seed_that_is_not_an_integer_is_a_type_error(seed):
+    with pytest.raises(TypeError):
+        random_zero_mean_field(make_grid(TWO_PI, 8), 1.0, seed)
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-3), -(2**70)])
+def test_a_negative_seed_is_a_value_error(seed):
+    with pytest.raises(ValueError, match=f"^seed must be non-negative, got {seed}$"):
+        random_zero_mean_field(make_grid(TWO_PI, 8), 1.0, seed)

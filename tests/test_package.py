@@ -191,6 +191,33 @@ assert cli._field_tables.cache_info().currsize == 1
     _run_fresh(code)
 
 
+def test_random_initial_fields_leave_numpys_generator_unloaded(tmp_path):
+    # a fresh interpreter, as this session has imported numpy.random already;
+    # numpy.random pulls in secrets, hmac and OpenSSL (_hashlib) as it loads
+    code = f"""
+import sys
+from frontks.cli import main
+rng = ("numpy.random", "secrets", "_hashlib")
+assert [m for m in rng if m in sys.modules] == []
+scan = ["--ell", "6.283185307179586", "--n-modes", "8", "--alphas", "1", "--t-end", "0.1", "--dt", "0.05"]
+assert main(["stability-scan", *scan, "--out", {str(tmp_path / "scan")!r}]) == 0
+evolve = ["--ell0", "6.283185307179586", "--epsilon", "0.5", "--n-modes", "8", "--t-end", "0.1", "--dt", "0.05"]
+assert main(["evolve-rescaled", *evolve, "--ic", "random", "--out", {str(tmp_path / "evolve")!r}]) == 0
+assert [m for m in rng if m in sys.modules] == []
+"""
+    _run_fresh(code)
+
+
+def test_the_evolve_function_shadows_its_submodule():
+    import frontks.evolve as ev  # binds the re-exported function, not the module
+
+    module = sys.modules["frontks.evolve"]
+    assert ev is frontks.evolve is module.evolve and not hasattr(ev, "Etdrk4")
+    from frontks.evolve import MATRIX_MAX_MODES, Etdrk4
+
+    assert (Etdrk4, MATRIX_MAX_MODES) == (module.Etdrk4, module.MATRIX_MAX_MODES)
+
+
 def _records():
     """Every dataclass the package defines, the lazily loaded modules' included."""
     return [
