@@ -49,7 +49,7 @@ OUTPUT_DIR_ENV = "FRONTKS_OUTDIR"
 # more make a block's largest arrays (32 bytes a value) pass the 128 KiB above
 # which glibc's malloc maps fresh pages, which measured as a higher peak RSS
 _BLOCK_VALUES = 3072
-# a block of fewer values is written row by row: there the ~100 numpy calls
+# a block of fewer values is written row by row: there the ~110 numpy calls
 # of _g17_fields cost more than the per-value formatting they save
 _MIN_BLOCK_VALUES = 384
 
@@ -113,19 +113,24 @@ def _pow10(s: int) -> tuple[float, float, float, float]:
     return c, rest, upper, c - upper
 
 
-def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=256)  # a trajectory's blocks span a few ranges of exponents
+def _pow10_parts(e_max: int, e_min: int) -> np.ndarray:
+    """The ``_pow10(16 - e)`` of e = e_max, e_max - 1, ..., e_min as four rows."""
+    return np.array([_pow10(16 - e) for e in range(e_max, e_min - 1, -1)]).T
+
+
+def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 17 significant digits of each |x|, D 10**(e - 16) with 1e16 <= D < 1e17.
 
-    Returns D's first digit, its other 16 digits as one integer, e, and where
-    D is exact: for every finite x with 1e-250 <= |x| <= 1e250 but the
-    near-ties.  A zero gives D = 0, e = 0.  With e a guess of floor(log10|x|),
-    P = |x| 10**(16 - e) is formed as p + lo: p and its rounding error from
-    Dekker's exact product of |x| with the double nearest 10**(16 - e), plus
-    |x| times the rest of that power.  p + lo is within P 2**-100 < 1e-13 of
-    P, so its nearest integer is D unless P is within 1e-9 of a half-integer:
-    those near-ties are not exact here.  A guess one off puts P outside
-    [1e16, 1e17), and P is formed again with e corrected; a D that rounds up
-    to 1e17 is 1e16 with e + 1.
+    Returns D (int64), e, and where D is exact: for every finite x with
+    1e-250 <= |x| <= 1e250 but the near-ties.  A zero gives D = 0, e = 0.
+    With e a guess of floor(log10|x|), P = |x| 10**(16 - e) is formed as
+    p + lo: p and its rounding error from Dekker's exact product of |x| with
+    the double nearest 10**(16 - e), plus |x| times the rest of that power.
+    p + lo is within P 2**-100 < 1e-13 of P, so its nearest integer is D
+    unless P is within 1e-9 of a half-integer: those near-ties are not exact
+    here.  A guess one off puts P outside [1e16, 1e17), and P is formed again
+    with e corrected; a D that rounds up to 1e17 is 1e16 with e + 1.
     """
     ax = np.abs(x)
     exact = (ax >= 1e-250) & (ax <= 1e250)
@@ -138,7 +143,7 @@ def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
 
     def scaled(e10):
         e_max = int(e10.max())
-        parts = np.array([_pow10(16 - e) for e in range(e_max, int(e10.min()) - 1, -1)]).T
+        parts = _pow10_parts(e_max, int(e10.min()))
         c, c_rest, c_upper, c_lower = np.take(parts, e_max - e10, axis=1)
         p = ax * c
         err = ((upper * c_upper - p) + upper * c_lower + lower * c_upper) + lower * c_lower
@@ -159,32 +164,32 @@ def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     d[carry] = 10**16
     e10 += carry
     d[x == 0] = 0
-    return *np.divmod(d, 10**16), e10, exact
+    return d, e10, exact
 
 
 # A field is four 8-byte words, NUL-padded: sign, "0." and zeros, the first
 # digit and the point; digits 2-9; digits 10-17; the exponent and separator.
-_EXPONENTS = 256  # the last word of e10 is row e10 + 256 (-256 <= e10 <= 256), of fixed notation row 513
+_EXPONENTS = 256  # e10's last word is row e10 + 256 (-256 <= e10 <= 256); none if -4 <= e10 < 17
 
 
 @functools.cache
 def _field_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The words of a field: first words (uint64), four digits (uint32), last words (uint64).
 
-    First word of sign s, head h (0 for none, else "0." and h - 1 zeros),
-    point p and first digit f: row ((s * 5 + h) * 2 + p) * 10 + f.  Four
-    digits g: row g with their trailing zeros dropped, row g + 10000 with all
-    four.  Last words: see ``_EXPONENTS``.
+    First word of sign s, point p, first digit f and c = clip(e10, -5, 0):
+    row ((s * 6 - c) * 2 + p) * 10 + f; -4 <= c <= -1 puts "0." and -c - 1
+    zeros before f, and no point.  Four digits g: row g with their trailing
+    zeros dropped, row g + 10000 with all four.  Last words: see ``_EXPONENTS``.
     """
     # built by assignment alone, so that building them pages in none of numpy's
     # arithmetic loops (each one measured as up to 128 KiB more peak RSS)
     digits = np.frombuffer(b"0123456789", np.uint8)
-    first = np.zeros((2, 5, 2, 10, 8), np.uint8)
+    first = np.zeros((2, 6, 2, 10, 8), np.uint8)
     first[1, ..., 0] = ord("-")
-    heads = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000"], "S5").view(np.uint8)
-    first[..., 1:6] = heads.reshape(5, 1, 1, 5)
+    heads = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000", b""], "S5").view(np.uint8)
+    first[..., 1:6] = heads.reshape(6, 1, 1, 5)
     first[..., 6] = digits
-    first[:, :, 1, :, 7] = ord(".")
+    first[:, ::5, 1, :, 7] = ord(".")
     groups = np.empty((2, 10, 10, 10, 10, 4), np.uint8)
     for place in range(4):
         groups[..., place] = digits.reshape((10,) + (1,) * (3 - place))
@@ -194,12 +199,13 @@ def _field_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     stripped[..., 0, 0, 2] = 0
     stripped[:, 0, 0, 0, 1] = 0
     stripped[0, 0, 0, 0, 0] = 0
-    last = np.zeros((2 * _EXPONENTS + 2, 8), np.uint8)
-    last[:-1, 0] = ord("e")
+    last = np.zeros((2 * _EXPONENTS + 1, 8), np.uint8)
+    last[:, 0] = ord("e")
     last[:_EXPONENTS, 1] = ord("-")
-    last[_EXPONENTS:-1, 1] = ord("+")
-    last[:-1, 2:5] = groups[1].reshape(10000, 4)[np.r_[_EXPONENTS:0:-1, : _EXPONENTS + 1], 1:]
+    last[_EXPONENTS:, 1] = ord("+")
+    last[:, 2:5] = groups[1].reshape(10000, 4)[np.r_[_EXPONENTS:0:-1, : _EXPONENTS + 1], 1:]
     last[_EXPONENTS - 99 : _EXPONENTS + 100, 2] = 0
+    last[_EXPONENTS - 4 : _EXPONENTS + 17, :5] = 0
     last[:, 5] = ord(",")
     return (
         first.view(np.uint64).reshape(-1),
@@ -218,30 +224,39 @@ def _g17_fields(values: np.ndarray) -> np.ndarray:
     first_words, group_words, last_words = _field_tables()
     n_rows, n_cols = values.shape
     x = values.reshape(-1)
-    lead, rest, e10, exact = _decimal17(x)
-    # "%g": fixed notation iff -4 <= e10 < 17; then the first digit follows
-    # -e10 - 1 zeros after "0." (e10 < 0), or the point follows e10 + 1 digits
-    sci = (e10 < -4) | (e10 >= 17)
-    below_one = (e10 < 0) & ~sci
-    point = np.where(sci | below_one, 1, e10 + 1)  # digits before the point
-    dot = (rest % 10 ** (17 - point) != 0) & ~below_one
+    d, e10, exact = _decimal17(x)
+    # D is its first digit and four groups of four, taken from its two halves (int64
+    # throughout: int32 loops would page in more of numpy's code)
+    high = d // 10**8
+    lead = high // 10**8
+    groups = []
+    for half in (high - lead * 10**8, d - high * 10**8):
+        left = half // 10**4
+        groups += [left, half - left * 10**4]
     words = np.empty((x.size, 4), np.uint64)
-    head = np.where(below_one, -e10, 0)
-    np.take(first_words, ((np.signbit(x) * 5 + head) * 2 + dot) * 10 + lead, out=words[:, 0])
     quads = words.view(np.uint32)
-    for k in range(4):
-        # the trailing zeros of the 17 digits are dropped
-        below = 10 ** (12 - 4 * k)
-        np.take(group_words, rest // below % 10**4 + 10**4 * (rest % below != 0), out=quads[:, 2 + k])
-    np.take(last_words, np.where(sci, e10 + _EXPONENTS, 2 * _EXPONENTS + 1), out=words[:, 3])
+    # a group's trailing zeros are dropped unless a nonzero digit follows it
+    follows = np.zeros(x.size, bool)
+    for k in (3, 2, 1, 0):
+        quads[:, 2 + k] = group_words.take(groups[k] + 10**4 * follows)
+        follows |= groups[k] != 0
+    # "%g": fixed notation iff -4 <= e10 < 17; then the first digit follows
+    # -e10 - 1 zeros after "0." (e10 < 0), or the point follows e10 + 1 digits;
+    # the point is written if a nonzero digit follows it
+    dot = follows
+    if (moved := np.flatnonzero((e10 > 0) & (e10 < 17))).size:
+        point = e10[moved] + 1
+        dot[moved] = d[moved] % 10 ** (17 - point) != 0
+    words[:, 0] = first_words.take(((np.signbit(x) * 6 - np.clip(e10, -5, 0)) * 2 + dot) * 10 + lead)
+    words[:, 3] = last_words.take(e10 + _EXPONENTS)
 
     text = words.view(np.uint8)
     text.reshape(n_rows, n_cols, 32)[:, -1, 29] = ord("\n")
-    if (moved := np.flatnonzero(point > 1)).size:
+    if moved.size:
         # the point goes after digit point - 1: the digits it passes move one place
         # left, and those of them the digit words dropped as trailing zeros come back
         body = text[moved, 6:24]
-        at = point[moved, None]
+        at = point[:, None]
         col = np.arange(18)
         passed = np.roll(body, -1, axis=1)
         passed[passed == 0] = ord("0")
@@ -255,9 +270,34 @@ def _g17_fields(values: np.ndarray) -> np.ndarray:
 
 
 def write_json(path: str, payload: dict) -> None:
+    """The text of ``json.dump(payload, indent=2, sort_keys=True, default=tolist)``, then a newline.
+
+    Each list or dict is one call of json's C encoder, not a Python step per item."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=lambda o: o.tolist())
-        fh.write("\n")
+        fh.write(_json_text(payload, "\n") + "\n")
+
+
+_JSON_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _json_text(o, newline: str) -> str:
+    """The text json's indent encoder writes for o, where newline opens o's own lines."""
+    if isinstance(o, (str, int, float)) or o is None:
+        return json.dumps(o)
+    if not isinstance(o, (list, tuple, dict)):
+        return _json_text(o.tolist(), newline)
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    inner = newline + "  "
+    keys, values = zip(*sorted(o.items())) if isinstance(o, dict) else (None, o)
+    # keys and scalars in one C-encoder call, each list or dict as null; split at raw newlines
+    flat = [v if type(v) in _JSON_SCALARS else None for v in values]
+    nested = [i for i, v in enumerate(values) if type(v) not in _JSON_SCALARS]
+    text = json.dumps(dict(zip(keys, flat)) if keys else flat, separators=("," + inner, ": "))
+    items = text[1:-1].split("," + inner) if nested else [text[1:-1]]
+    for i in nested:
+        items[i] = items[i][:-4] + _json_text(values[i], inner)
+    return text[0] + inner + ("," + inner).join(items) + newline + text[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -123,10 +123,15 @@ class SpectralGrid:
         retained functions back to its coefficients exactly.  Cached, so all
         steppers on one grid share one build: one batched irfft per matrix.
         """
-        spectra = _pack(self, np.eye(self.n_modes))
+        # _pack of the identity: each basis function's spectrum, without the eye
+        spectra = np.zeros((self.n_modes, self.max_harmonic + 1), complex)
+        spectra[0, 0] = 1.0
+        np.fill_diagonal(spectra.view(float)[1:, 2:], 1 / self._coeff_scale[1:])
         values = np.fft.irfft(spectra, self.n_points, norm="forward")
-        slope = np.fft.irfft(spectra * self._ik, self.n_points, norm="forward")
-        return np.ascontiguousarray(slope.T), values / self.n_points
+        values /= self.n_points
+        spectra *= self._ik
+        slope = np.empty((self.n_points, self.n_modes))  # filled along axis 0, no transposed copy
+        return np.fft.irfft(spectra.T, self.n_points, axis=0, norm="forward", out=slope), values
 
 
 @dataclass(frozen=True, eq=False)

@@ -315,6 +315,29 @@ def _near_ties() -> list[float]:
     return found
 
 
+def _digit_patterns() -> list[float]:
+    """Doubles whose 17 digits (a first digit, then four groups of four) hold runs of zeros.
+
+    Digits with exactly one group 0000, once for each group; trailing zeros from
+    inside the first half of the digits on, or from the second half on
+    (10**16 + 10**8) or only a last nonzero digit (10**16 + 1), each at many
+    exponents; and fixed notation at every point position p from 2 to 17 with
+    the nonzero digits after the first only after the point.
+    """
+    groups = ["1234", "5678", "9012", "3456"]
+    wanted = [int("7" + "".join("0000" if j == k else g for j, g in enumerate(groups))) for k in range(4)]
+    wanted += [10**16 + 10**12, 10**16 + 10**8, 10**16 + 10**4, 10**16 + 1]
+    patterns = {format(d, "017d") for d in wanted}
+    digits = [float(f"{d}e{e}") for d in wanted for e in range(-40, 40)]
+    # only the doubles whose own 17 digits are the pattern
+    digits = [x for x in digits if format(x, ".16e").replace(".", "")[:17] in patterns]
+    assert {format(x, ".16e").replace(".", "")[:17] for x in digits} == patterns
+    # 1, p - 1 zeros and the point, then m at digit place; at p = 17 no digit follows the point
+    fixed = [10.0 ** (p - 1) + m * 10.0 ** (p - place) for p in range(2, 17) for place in range(p + 1, 18)
+             for m in (1, 3)]
+    return digits + fixed + [1e16, 1e16 + 2]
+
+
 def test_block_formatter_matches_format_17g_byte_for_byte():
     rng = np.random.default_rng(17)
     decades = [float(f"1e{k}") for k in range(-320, 309)]
@@ -331,6 +354,7 @@ def test_block_formatter_matches_format_17g_byte_for_byte():
         _near_ties(),
         # integer-valued floats up to 1e17, and every fixed and exponent layout
         [float(10**k + j) for k in range(18) for j in (-1, 0, 1)],
+        _digit_patterns(),
         np.round(rng.uniform(0, 1e17, 5_000) / 10.0 ** rng.integers(0, 17, 5_000)),
         rng.standard_normal(20_000) * 10.0 ** rng.integers(-30, 30, 20_000),
     ])
@@ -974,6 +998,56 @@ def test_report_json_is_every_report_field_and_the_config(subcommand, tmp_path):
     assert main([subcommand, *REPORT_RUNS[subcommand][False], "--out", str(out)]) == EXIT_OK
     names = {f.name for f in dataclasses.fields(REPORT_TYPES[subcommand])}
     assert set(json.loads((out / "report.json").read_text())) == names | {"config"}
+
+
+def _json_reference(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, default=lambda o: o.tolist()) + "\n"
+
+
+# a small run of every subcommand, each writing a JSON file
+JSON_RUNS = {
+    **{name: runs[0] for name, runs in REPORT_RUNS.items()},
+    "symbols": ["--ell", "31.41592653589793", "--n-modes", "8", "--epsilon", "0.1"],
+    "evolve-front": ["--ell", "6.283185307179586", "--n-modes", "8", "--alpha", "1.0", "--t-end", "0.1",
+                     "--dt", "0.01", "--ic", "random", "--amplitude", "1e-3", "--seed", "2"],
+    "evolve-ks": ["--ell0", "31.41592653589793", "--n-modes", "8", "--t-end", "0.1", "--dt", "0.01"],
+    "evolve-rescaled": ["--ell0", "31.41592653589793", "--epsilon", "0.04", "--n-modes", "8",
+                        "--t-end", "0.1", "--dt", "0.01"],
+    "profiles": ["--ell", "6.283185307179586", "--alpha", "1.0", "--k", "1", "--phi", "1.0",
+                 "--phiy-sq", "0.3", "--x-count", "5"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(STUDIES))
+def test_every_json_output_is_the_text_of_json_dump(subcommand, tmp_path, monkeypatch):
+    written = []
+
+    def checked_write_json(path, payload, _write=frontks.cli.write_json):
+        _write(path, payload)
+        written.append(path)
+        assert pathlib.Path(path).read_text() == _json_reference(payload)
+
+    monkeypatch.setattr(frontks.cli, "write_json", checked_write_json)
+    assert main([subcommand, *JSON_RUNS[subcommand], "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert written
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    [],
+    {"empty": [], "nothing": {}, "deeper": [[], {}, [[]], ()]},
+    {"nested": {"b": [1, 2.5], "a": {"c": [[1.0, 2.0], [3.0, 4.0]]}}, "grid": np.arange(6.0).reshape(2, 3)},
+    {"special": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300, 10**30]},
+    {"numpy": [np.float64(1 / 3), np.int64(-4), np.bool_(True)], "scalars": (np.float64(0.1), np.bool_(False))},
+    {"mixed": [1.5, 2, True, False, None, "x"], "tuple": (1, 2.0), "column": np.zeros((0, 3))},
+    {"escapes": ["quote \" backslash \\ tab \t nul \0", "\u00e9\u2603\U0001f600", "line\nbreak"]},
+    {3: "int key", 2.5: "float key", True: "bool key"},
+    {None: [0.5]},
+], ids=lambda payload: "-".join(map(str, payload)) or "empty")
+def test_write_json_writes_the_text_of_json_dump(payload, tmp_path):
+    path = tmp_path / "out.json"
+    frontks.cli.write_json(str(path), payload)
+    assert path.read_text() == _json_reference(payload)
 
 
 def test_ks_apriori_blowup_writes_outputs_then_exit_code(tmp_path):

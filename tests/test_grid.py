@@ -289,6 +289,20 @@ def test_square_on_own_collocation_points_is_alias_free(n):
         assert np.max(np.abs(got - want)) < 1e-10
 
 
+@pytest.mark.parametrize("n", [3, 4, 19, 64, 65, 128])
+def test_collocation_matrices_are_the_transforms_of_the_packed_identity_bit_for_bit(n):
+    grid = make_grid(10 * np.pi, n)
+    spectra = _pack(grid, np.eye(n))
+    values = np.fft.irfft(spectra, grid.n_points, norm="forward")
+    slope_t = np.fft.irfft(spectra * grid._ik, grid.n_points, norm="forward")
+    slope, analysis = grid._collocation_matrices
+    assert slope.flags.c_contiguous and analysis.flags.c_contiguous
+    # bits, so that a zero's sign counts too
+    assert slope.shape == (grid.n_points, n)
+    assert np.array_equal(slope.view(np.uint64), np.ascontiguousarray(slope_t.T).view(np.uint64))
+    assert np.array_equal(analysis.view(np.uint64), (values / grid.n_points).view(np.uint64))
+
+
 def _derivative_oracle(coeffs, period, order):
     """Per-mode derivative: (a_{2j-1}, a_{2j}) -> q_j (a_{2j}, -a_{2j-1}), applied
     order times; the mean and an even truncation's unpaired top cosine go to 0."""
