@@ -115,16 +115,17 @@ class Etdrk4:
             raise ValueError(f"max |dt * L| is {np.max(np.abs(z)):.3g}, but the stepper needs it below 1e100")
         self.exp_full = np.exp(z)
         self.exp_half = np.exp(0.5 * z)
-        # the phi functions once per distinct z (each cos/sin pair shares one),
-        # spread back with inv; zu is sorted, so |z| < _CONTOUR_BELOW, where
-        # they are contour averages, is the slice lo:hi
-        zu, inv = np.unique(z, return_inverse=True)
-        lo = zu.searchsorted(-_CONTOUR_BELOW, "right")
-        hi = zu.searchsorted(_CONTOUR_BELOW)
-        far = np.r_[:lo, hi : zu.size]
+        # the phi functions once per mode, except a sin mode whose z equals its
+        # cos partner's (as when L is a function of the eigenvalue), spread back
+        # with inv: contour averages where |z| < _CONTOUR_BELOW, closed forms elsewhere
+        first = np.ones(z.size, dtype=bool)
+        first[2::2] = z[2::2] != z[1:-1:2]
+        zu, inv = z[first], np.cumsum(first) - 1
+        near = np.abs(zu) < _CONTOUR_BELOW
         phi = np.empty((4, zu.size))
-        phi[:, lo:hi] = np.mean(_phi(zu[lo:hi, None] + _CONTOUR), axis=-1).real
-        phi[:, far] = _phi(zu[far])
+        phi[:, near] = np.mean(_phi(zu[near, None] + _CONTOUR), axis=-1).real
+        if not near.all():
+            phi[:, ~near] = _phi(zu[~near])
         self.coeff_q, self.coeff_f1, self.coeff_f2, self.coeff_f3 = dt * phi[:, inv]
         self._two_f2 = 2.0 * self.coeff_f2
         grid = descriptor.grid

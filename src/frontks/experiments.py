@@ -57,9 +57,18 @@ def _evolve_each(configs, blowups: list):
         yield key, traj
 
 
+def _slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x, nan when x has no spread: centred, so exact
+    to rounding, and closed form, so no LAPACK (np.polyfit pages its SVD in)."""
+    if x.min() == x.max():  # the float mean of equal values can miss them by an ulp
+        return np.nan
+    dx = x - x.mean()
+    return float(dx @ (y - y.mean()) / (dx @ dx))
+
+
 def fit_log_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    return float(np.polyfit(np.log(np.asarray(x)), np.log(np.asarray(y)), 1)[0])
+    """Least-squares slope of log(y) against log(x); nan when x has no spread."""
+    return _slope(np.log(np.asarray(x)), np.log(np.asarray(y)))
 
 
 def measured_growth_rate(trajectory: Trajectory) -> float:
@@ -75,7 +84,7 @@ def measured_growth_rate(trajectory: Trajectory) -> float:
         return np.nan
     if np.any(norms[sel] <= 0):
         return -np.inf
-    return float(np.polyfit(times[sel], np.log(norms[sel]), 1)[0])
+    return _slope(times[sel], np.log(norms[sel]))
 
 
 @dataclass(eq=False)

@@ -1032,6 +1032,29 @@ def test_every_json_output_is_the_text_of_json_dump(subcommand, tmp_path, monkey
     assert written
 
 
+# every subcommand that steps, each run long enough to reach its fits: the scan's
+# rate fit needs three snapshots in its window, the convergence order two epsilons
+STEPPING_RUNS = {
+    **{name: JSON_RUNS[name] for name in STUDIES if name not in ("symbols", "profiles")},
+    "convergence": ["--ell0", "31.41592653589793", "--n-modes", "16", "--t-end", "0.2", "--dt", "0.01",
+                    "--epsilons", "0.1,0.05"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(STEPPING_RUNS))
+def test_no_study_calls_lapack_or_a_sort(subcommand, tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a study called LAPACK or a sort")
+
+    for module, name in ((np, "polyfit"), (np.linalg, "lstsq"), (np.linalg, "svd"), (np, "unique")):
+        monkeypatch.setattr(module, name, fail)
+    out = tmp_path / "out"
+    assert main([subcommand, *STEPPING_RUNS[subcommand], "--out", str(out)]) == EXIT_OK
+    fit = {"stability-scan": "measured_rates", "convergence": "fitted_order"}.get(subcommand)
+    if fit:
+        assert np.all(np.isfinite(json.loads((out / "report.json").read_text())[fit]))
+
+
 @pytest.mark.parametrize("payload", [
     {},
     [],

@@ -18,6 +18,7 @@ from frontks.evolve import (
     make_front_equation,
     make_ks_equation,
     make_rescaled_equation,
+    _phi,
     mean_mode_ode_check,
 )
 from frontks.experiments import fit_log_slope
@@ -172,6 +173,31 @@ def test_stepper_coefficients_built_once_per_distinct_symbol(n, equation):
     for c, want in zip(got, _per_mode_coefficients(z, dt)):
         assert np.all(want != 0)
         assert np.max(np.abs(c - want) / np.abs(want)) <= 1e-12
+
+
+# z = dt L of 32 cos/sin pairs whose partners differ: by one ulp, on both sides of the
+# contour switch; or on either side of the switch itself
+SPLIT_PAIRS = {
+    "ulp": (lambda cos: (cos, np.nextafter(cos, -np.inf)))(-np.geomspace(1e-3, 40.0, 32)),
+    "switch": (lambda d: (np.r_[-5.0 + d, 5.0 - d], np.r_[-5.0 - d, 5.0 + d]))(np.geomspace(1e-9, 1.0, 16)),
+}
+
+
+@pytest.mark.parametrize("pairs", sorted(SPLIT_PAIRS))
+def test_stepper_does_not_assume_that_cos_sin_partners_share_a_symbol(pairs):
+    cos, sin = SPLIT_PAIRS[pairs]
+    z = np.empty(65)
+    z[0], z[1::2], z[2::2] = 0.0, cos, sin
+    assert np.all(z[1::2] != z[2::2])
+    dt = 0.5  # a power of two: z / dt is exact
+    st = Etdrk4(EquationDescriptor(make_grid(TWO_PI, z.size), z / dt, np.zeros(z.size)), dt)
+    got = np.array([st.coeff_q, st.coeff_f1, st.coeff_f2, st.coeff_f3])
+    near = np.abs(z) < 5.0
+    want = np.empty_like(got)
+    want[:, near] = _per_mode_coefficients(z[near], dt)
+    want[:, ~near] = dt * np.array(_phi(z[~near]))
+    assert near.any() and not near.all()
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
 
 
 def _phi_50_digits(z):

@@ -1,12 +1,20 @@
 """Experiment harness: scans, convergence, energy, bounds, refinement."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import frontks.experiments
-from frontks.evolve import EquationDescriptor, Trajectory, make_front_equation, make_ks_equation
+from frontks.evolve import (
+    EquationDescriptor,
+    SolverConfig,
+    Trajectory,
+    evolve,
+    make_front_equation,
+    make_ks_equation,
+)
 from frontks.experiments import (
     fit_log_slope,
     measured_growth_rate,
@@ -29,6 +37,57 @@ from frontks.symbols import build_rescaled_symbols
 def test_fit_log_slope_recovers_power_law():
     x = np.array([1.0, 0.5, 0.25, 0.125])
     assert fit_log_slope(x, 3.0 * x**1.7) == pytest.approx(1.7, rel=1e-12)
+
+
+def _exact_slope(x, y) -> float:
+    """The least-squares slope of y against x, in rational arithmetic over the same floats."""
+    x, y = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in y]
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    return float(sum((a - mx) * (b - my) for a, b in zip(x, y)) / sum((a - mx) ** 2 for a in x))
+
+
+def _fit_window(traj):
+    """(times, norms) of the window measured_growth_rate fits: the last fifth of the run."""
+    times = traj.times
+    sel = times >= times[-1] - 0.2 * (times[-1] - times[0])
+    return times[sel], traj.diagnostics["zero_mean_l2"][sel]
+
+
+def _scan_trajectories():
+    """The eight members of the benchmark's scan setting, at seed 23."""
+    phi0 = random_zero_mean_field(make_grid(4 * np.pi, 64), 1e-4, 23)
+    for alpha in (1.0, 1.3, 1.6, 1.9, 8.0, 9.0, 10.0, 12.0):
+        yield evolve(SolverConfig(make_front_equation(alpha, phi0.grid), phi0, 0.01, 1.0))
+
+
+def _offset_trajectory():
+    """161 snapshots at t = 1e6 + 0.01 k, where the times keep few digits of their spread."""
+    steps = np.arange(161)
+    times = 1e6 + 0.01 * steps
+    norms = np.exp(0.3 * (times - 1e6) + 0.01 * np.sin(37.0 * steps))
+    return Trajectory(None, times, np.zeros((161, 3)), {"zero_mean_l2": norms})
+
+
+@pytest.mark.parametrize("case,window_size", [("scan", 21), ("offset", 33)])
+def test_fitted_slopes_are_the_least_squares_slope_to_rounding(case, window_size):
+    # np.polyfit missed it by up to 2.2e-13 (rate) and 1.1e-12 (log-log) relative on the scan
+    # windows, and by 4.3e-10 and 4.2e-9 at the offset
+    trajectories = list(_scan_trajectories()) if case == "scan" else [_offset_trajectory()]
+    for traj in trajectories:
+        times, norms = _fit_window(traj)
+        assert times.size == window_size
+        exact = _exact_slope(times, np.log(norms))
+        assert measured_growth_rate(traj) == pytest.approx(exact, rel=1e-15, abs=0)
+        exact = _exact_slope(np.log(times), np.log(norms))
+        assert fit_log_slope(times, norms) == pytest.approx(exact, rel=1e-15, abs=0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [1.0, 2.0, 6.0])
+def test_fit_log_slope_of_an_x_with_no_spread_is_nan_without_a_warning(x):
+    # at x = 1 every log is 0, so the centred slope is 0/0; at x = 6 the float mean of
+    # the three equal logs is not their value, so centring alone leaves them a spread
+    assert np.isnan(fit_log_slope(np.full(3, x), [1.0, 2.0, 4.0]))
 
 
 def test_threshold_bracketing_scan():
