@@ -177,9 +177,11 @@ def test_stepper_coefficients_built_once_per_distinct_symbol(n, equation):
 
 # z = dt L of 32 cos/sin pairs whose partners differ: by one ulp, on both sides of the
 # contour switch; or on either side of the switch itself
+_COS = -np.geomspace(1e-3, 40.0, 32)
+_GAP = np.geomspace(1e-9, 1.0, 16)
 SPLIT_PAIRS = {
-    "ulp": (lambda cos: (cos, np.nextafter(cos, -np.inf)))(-np.geomspace(1e-3, 40.0, 32)),
-    "switch": (lambda d: (np.r_[-5.0 + d, 5.0 - d], np.r_[-5.0 - d, 5.0 + d]))(np.geomspace(1e-9, 1.0, 16)),
+    "ulp": (_COS, np.nextafter(_COS, -np.inf)),
+    "switch": (np.r_[-5.0 + _GAP, 5.0 - _GAP], np.r_[-5.0 - _GAP, 5.0 + _GAP]),
 }
 
 
