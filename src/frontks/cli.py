@@ -98,16 +98,11 @@ def _g17_lines(rows: list, line: str) -> str:
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's splitter for a 53-bit significand
 
 
-@functools.cache  # one entry per exponent used, at most -235..267
+@functools.cache  # one entry per exponent used, at most 15..267
 def _pow10(s: int) -> tuple[float, float, float, float]:
-    """10**s as c + rest, each the double nearest to what it stands for, and c's two halves."""
-    if s >= 0:
-        c = float(10**s)
-        rest = float(10**s - int(c))
-    else:
-        num, den = (1 / 10**-s).as_integer_ratio()
-        c = num / den
-        rest = (den - num * 10**-s) / (den * 10**-s)
+    """10**s (s >= 0) as c + rest, each the double nearest to what it stands for, and c's two halves."""
+    c = float(10**s)
+    rest = float(10**s - int(c))
     t = _SPLIT * c
     upper = t - (t - c)
     return c, rest, upper, c - upper
@@ -123,7 +118,7 @@ def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 17 significant digits of each |x|, D 10**(e - 16) with 1e16 <= D < 1e17.
 
     Returns D (int64), e, and where D is exact: for every finite x with
-    1e-250 <= |x| <= 1e250 but the near-ties.  A zero gives D = 0, e = 0.
+    1e-250 <= |x| < 10 but the near-ties.  A zero gives D = 0, e = 0.
     With e a guess of floor(log10|x|), P = |x| 10**(16 - e) is formed as
     p + lo: p and its rounding error from Dekker's exact product of |x| with
     the double nearest 10**(16 - e), plus |x| times the rest of that power.
@@ -133,7 +128,7 @@ def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with e corrected; a D that rounds up to 1e17 is 1e16 with e + 1.
     """
     ax = np.abs(x)
-    exact = (ax >= 1e-250) & (ax <= 1e250)
+    exact = (ax >= 1e-250) & (ax < 10)
     ax[~exact] = 1.0
     exact |= x == 0
     e10 = np.floor(np.log10(ax)).astype(np.int64)
@@ -169,7 +164,7 @@ def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # A field is four 8-byte words, NUL-padded: sign, "0." and zeros, the first
 # digit and the point; digits 2-9; digits 10-17; the exponent and separator.
-_EXPONENTS = 256  # e10's last word is row e10 + 256 (-256 <= e10 <= 256); none if -4 <= e10 < 17
+_EXPONENTS = 256  # e10's last word is row -e10 (-256 <= e10 <= 0); none if -4 <= e10
 
 
 @functools.cache
@@ -199,13 +194,12 @@ def _field_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     stripped[..., 0, 0, 2] = 0
     stripped[:, 0, 0, 0, 1] = 0
     stripped[0, 0, 0, 0, 0] = 0
-    last = np.zeros((2 * _EXPONENTS + 1, 8), np.uint8)
+    last = np.zeros((_EXPONENTS + 1, 8), np.uint8)
     last[:, 0] = ord("e")
-    last[:_EXPONENTS, 1] = ord("-")
-    last[_EXPONENTS:, 1] = ord("+")
-    last[:, 2:5] = groups[1].reshape(10000, 4)[np.r_[_EXPONENTS:0:-1, : _EXPONENTS + 1], 1:]
-    last[_EXPONENTS - 99 : _EXPONENTS + 100, 2] = 0
-    last[_EXPONENTS - 4 : _EXPONENTS + 17, :5] = 0
+    last[:, 1] = ord("-")
+    last[:, 2:5] = groups[1].reshape(10000, 4)[: _EXPONENTS + 1, 1:]
+    last[:100, 2] = 0
+    last[:5, :5] = 0
     last[:, 5] = ord(",")
     return (
         first.view(np.uint64).reshape(-1),
@@ -218,7 +212,7 @@ def _g17_fields(values: np.ndarray) -> np.ndarray:
     """The "%.17g" CSV fields of a 2-D float64 array, as 32 NUL-padded bytes each.
 
     Digits come from ``_decimal17``; where those are not exact (nan, inf,
-    nonzero |x| < 1e-250, |x| > 1e250, near-ties) "%.17g" itself writes the
+    nonzero |x| < 1e-250, |x| >= 10, near-ties) "%.17g" itself writes the
     field.  Dropping the NULs leaves the CSV lines.
     """
     first_words, group_words, last_words = _field_tables()
@@ -240,29 +234,14 @@ def _g17_fields(values: np.ndarray) -> np.ndarray:
     for k in (3, 2, 1, 0):
         quads[:, 2 + k] = group_words.take(groups[k] + 10**4 * follows)
         follows |= groups[k] != 0
-    # "%g": fixed notation iff -4 <= e10 < 17; then the first digit follows
-    # -e10 - 1 zeros after "0." (e10 < 0), or the point follows e10 + 1 digits;
-    # the point is written if a nonzero digit follows it
-    dot = follows
-    if (moved := np.flatnonzero((e10 > 0) & (e10 < 17))).size:
-        point = e10[moved] + 1
-        dot[moved] = d[moved] % 10 ** (17 - point) != 0
-    words[:, 0] = first_words.take(((np.signbit(x) * 6 - np.clip(e10, -5, 0)) * 2 + dot) * 10 + lead)
-    words[:, 3] = last_words.take(e10 + _EXPONENTS)
+    # "%g" (e10 <= 0 here): fixed notation iff -4 <= e10, where the first digit
+    # follows -e10 - 1 zeros after "0." (e10 < 0); the point after the first
+    # digit is written if a nonzero digit follows it
+    words[:, 0] = first_words.take(((np.signbit(x) * 6 - np.clip(e10, -5, 0)) * 2 + follows) * 10 + lead)
+    words[:, 3] = last_words.take(-e10)
 
     text = words.view(np.uint8)
     text.reshape(n_rows, n_cols, 32)[:, -1, 29] = ord("\n")
-    if moved.size:
-        # the point goes after digit point - 1: the digits it passes move one place
-        # left, and those of them the digit words dropped as trailing zeros come back
-        body = text[moved, 6:24]
-        at = point[:, None]
-        col = np.arange(18)
-        passed = np.roll(body, -1, axis=1)
-        passed[passed == 0] = ord("0")
-        text[moved, 6:24] = np.where(
-            (col >= 1) & (col < at), passed, np.where(col == at, body[:, 1:2], body)
-        )
     if (redo := np.flatnonzero(~exact)).size:
         fields = np.array([b"%.17g" % v for v in x[redo].tolist()], dtype="S29")
         text[redo, :29] = fields.view(np.uint8).reshape(-1, 29)

@@ -322,7 +322,8 @@ def _digit_patterns() -> list[float]:
     inside the first half of the digits on, or from the second half on
     (10**16 + 10**8) or only a last nonzero digit (10**16 + 1), each at many
     exponents; and fixed notation at every point position p from 2 to 17 with
-    the nonzero digits after the first only after the point.
+    the nonzero digits after the first only after the point, which, being 10
+    or more, the block formatter leaves to "%.17g".
     """
     groups = ["1234", "5678", "9012", "3456"]
     wanted = [int("7" + "".join("0000" if j == k else g for j, g in enumerate(groups))) for k in range(4)]
@@ -352,7 +353,8 @@ def test_block_formatter_matches_format_17g_byte_for_byte():
         np.arange(26215, 262144, 2) / 2**18,
         [j / 2.0**24 for j in range(3, 16, 2)] + [1 / 2.0**25, 3 / 2.0**25],
         _near_ties(),
-        # integer-valued floats up to 1e17, and every fixed and exponent layout
+        # integer-valued floats up to 1e17, and every fixed and exponent layout of "%.17g"; the
+        # block formatter writes those below 10, and the fallback those of 10 or more
         [float(10**k + j) for k in range(18) for j in (-1, 0, 1)],
         _digit_patterns(),
         np.round(rng.uniform(0, 1e17, 5_000) / 10.0 ** rng.integers(0, 17, 5_000)),
@@ -370,6 +372,18 @@ def test_block_formatter_matches_format_17g_byte_for_byte():
                     [10**20, 2**53 + 1, True, np.float64(1 / 3), -0.0, 0, -7, 0.1]):
         rows = [special] * 64
         assert frontks.cli._g17_lines(rows, ",".join(["%.17g"] * 8) + "\n") == _g17_reference(rows)
+
+
+def test_the_block_formatter_writes_only_fields_below_10_itself():
+    inside = [0.0, 1e-250, 1.0, 9.999999999999998, -9.999999999999998]
+    outside = [10.0, -10.0, 10.000000000000002, 99.99999999999999, 1e16, 1e17, 1e250, 1.7976931348623157e308]
+    _, _, exact = frontks.cli._decimal17(np.array(inside + outside))
+    assert exact.tolist() == [True] * len(inside) + [False] * len(outside)
+    # fields at and above 10 go to "%.17g" in the same block as the fields below it
+    rows = [inside + outside] * 64
+    assert len(rows) * len(rows[0]) >= frontks.cli._MIN_BLOCK_VALUES
+    line = ",".join(["%.17g"] * len(rows[0])) + "\n"
+    assert frontks.cli._g17_lines(rows, line) == _g17_reference(rows)
 
 
 @pytest.mark.parametrize("width", [7, 9])
