@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -98,7 +99,6 @@ def _g17_lines(rows: list, line: str) -> str:
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's splitter for a 53-bit significand
 
 
-@functools.cache  # one entry per exponent used, at most 15..267
 def _pow10(s: int) -> tuple[float, float, float, float]:
     """10**s (s >= 0) as c + rest, each the double nearest to what it stands for, and c's two halves."""
     c = float(10**s)
@@ -108,10 +108,10 @@ def _pow10(s: int) -> tuple[float, float, float, float]:
     return c, rest, upper, c - upper
 
 
-@functools.lru_cache(maxsize=256)  # a trajectory's blocks span a few ranges of exponents
-def _pow10_parts(e_max: int, e_min: int) -> np.ndarray:
-    """The ``_pow10(16 - e)`` of e = e_max, e_max - 1, ..., e_min as four rows."""
-    return np.array([_pow10(16 - e) for e in range(e_max, e_min - 1, -1)]).T
+@functools.cache
+def _pow10_table() -> np.ndarray:
+    """The ``_pow10(16 - e)`` of e = 1, 0, ..., -251, every e that ``_decimal17`` scales by, as four rows."""
+    return np.array([_pow10(16 - e) for e in range(1, -252, -1)]).T
 
 
 def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -137,9 +137,7 @@ def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lower = ax - upper
 
     def scaled(e10):
-        e_max = int(e10.max())
-        parts = _pow10_parts(e_max, int(e10.min()))
-        c, c_rest, c_upper, c_lower = np.take(parts, e_max - e10, axis=1)
+        c, c_rest, c_upper, c_lower = np.take(_pow10_table(), 1 - e10, axis=1)
         p = ax * c
         err = ((upper * c_upper - p) + upper * c_lower + lower * c_upper) + lower * c_lower
         return p, err + ax * c_rest
@@ -251,7 +249,9 @@ def _g17_fields(values: np.ndarray) -> np.ndarray:
 def write_json(path: str, payload: dict) -> None:
     """The text of ``json.dump(payload, indent=2, sort_keys=True, default=tolist)``, then a newline.
 
-    Each list or dict is one call of json's C encoder, not a Python step per item."""
+    A nan or an infinity, which JSON (RFC 8259) has no number for, is written
+    as null.  Each list or dict is one call of json's C encoder, not a Python
+    step per item."""
     with open(path, "w") as fh:
         fh.write(_json_text(payload, "\n") + "\n")
 
@@ -261,6 +261,8 @@ _JSON_SCALARS = {str, int, float, bool, type(None)}
 
 def _json_text(o, newline: str) -> str:
     """The text json's indent encoder writes for o, where newline opens o's own lines."""
+    if isinstance(o, float) and not math.isfinite(o):
+        return "null"
     if isinstance(o, (str, int, float)) or o is None:
         return json.dumps(o)
     if not isinstance(o, (list, tuple, dict)):
@@ -272,11 +274,16 @@ def _json_text(o, newline: str) -> str:
     # keys and scalars in one C-encoder call, each list or dict as null; split at raw newlines
     flat = [v if type(v) in _JSON_SCALARS else None for v in values]
     nested = [i for i, v in enumerate(values) if type(v) not in _JSON_SCALARS]
-    text = json.dumps(dict(zip(keys, flat)) if keys else flat, separators=("," + inner, ": "))
-    items = text[1:-1].split("," + inner) if nested else [text[1:-1]]
+    comma = "," + inner
+    try:
+        text = json.dumps(dict(zip(keys, flat)) if keys else flat, separators=(comma, ": "), allow_nan=False)
+    except ValueError:  # a nan or an infinity: only then is each item tested, so finite payloads pay nothing
+        flat = [None if type(v) is float and not math.isfinite(v) else v for v in flat]
+        text = json.dumps(dict(zip(keys, flat)) if keys else flat, separators=(comma, ": "))
+    items = text[1:-1].split(comma) if nested else [text[1:-1]]
     for i in nested:
         items[i] = items[i][:-4] + _json_text(values[i], inner)
-    return text[0] + inner + ("," + inner).join(items) + newline + text[-1]
+    return text[0] + inner + comma.join(items) + newline + text[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +452,8 @@ def _cmd_symbols(cfg) -> tuple[int, dict]:
     else:
         table = build_rescaled_symbols(cfg["epsilon"], grid)
         extra = {"h": "mass_correction", "m": "quad_correction", "r": "sqrt_shift"}
-        # the uniform-in-eps bounds the convergence proof rests on
-        report = verify_symbol_bounds(table)
-        bounds = {"bounds.json": {**asdict(report), "all_ok": report.all_ok}}
+        # the constants of the uniform-in-eps bounds the convergence proof rests on
+        bounds = {"bounds.json": asdict(verify_symbol_bounds(table))}
     columns = {"X": "sqrt_factor", "b": "mass", "s": "stiffness", "f": "quad_filter", **extra}
     rows = zip(range(grid.n_modes), grid.eigenvalues, *(getattr(table, f) for f in columns.values()))
     return EXIT_OK, {"symbols.csv": (["k", "lambda", *columns], rows), **bounds}

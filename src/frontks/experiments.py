@@ -315,9 +315,15 @@ def run_ks_apriori_check(
     )
     times = trajectory.times
     slope = np.sqrt(trajectory.diagnostics["slope_sq_mean"])
-    slope_bound = np.exp(13.0 * times / 6.0) * slope[0]
     mean_abs = np.abs(trajectory.diagnostics["mean"])
-    mean_bound = mean_abs[0] + (3.0 / 26.0) * slope[0] ** 2 * np.exp(13.0 * times / 3.0)
+    # np.exp passes the float range at tau > 163.8 (mean bound) and 327.6 (slope bound);
+    # the bound then reads inf, above every finite norm, so no verdict or margin moves
+    with np.errstate(over="ignore"):
+        slope_growth, mean_growth = np.exp(13.0 * times / 6.0), np.exp(13.0 * times / 3.0)
+    # a zero field's bounds do not grow, where 0 * inf would read nan
+    zero = np.zeros_like(times)
+    slope_bound = slope_growth * slope[0] if slope[0] else zero
+    mean_bound = mean_abs[0] + ((3.0 / 26.0) * slope[0] ** 2 * mean_growth if slope[0] else zero)
     # the margins over tau > 0: at tau = 0 the slope bound is the slope norm itself, so a
     # minimum over it would read 0.0; a run that blew up in its first step has no tau > 0
     slope_margin, mean_margin = (

@@ -75,16 +75,21 @@ def test_symbols_epsilon_writes_the_symbol_bounds(epsilon, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["bounds.json", "symbols.csv"]
     bounds = json.loads((out / "bounds.json").read_text())
     assert bounds["epsilon"] == float(epsilon)
-    flags = {k: v for k, v in bounds.items() if k.endswith("_ok")}
-    assert len(flags) == 5 and all(v is True for v in flags.values())
+    assert sorted(bounds) == ["epsilon", "max_mass_correction_ratio", "max_quad_correction_ratio"]
+    assert bounds["max_mass_correction_ratio"] <= 6.0 + 2.0 * float(epsilon)
+    assert bounds["max_quad_correction_ratio"] <= 1.0
 
 
-def test_symbols_epsilon_keeps_the_mass_slack_at_a_short_period(tmp_path):
-    # 4 eps lam ~ 1.6e41 at ell = 1e-20: b - 1 - 4 eps lam would lose the 1 and report -1
+def test_symbols_epsilon_writes_the_constants_of_the_bounds_bit_for_bit(tmp_path):
     out = tmp_path / "sym"
-    assert main(["symbols", "--ell", "1e-20", "--n-modes", "3", "--epsilon", "1", "--out", str(out)]) == EXIT_OK
-    bounds = json.loads((out / "bounds.json").read_text())
-    assert bounds["min_mass_slack"] >= 0.0 and bounds["all_ok"] is True
+    rc = main(["symbols", "--ell", "31.41592653589793", "--n-modes", "128", "--epsilon", "0.05",
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    assert json.loads((out / "bounds.json").read_text()) == {
+        "epsilon": 0.05,
+        "max_mass_correction_ratio": 6.095816716467595,
+        "max_quad_correction_ratio": 0.14320049850211478,
+    }
 
 
 def test_symbols_alpha_writes_only_the_table(tmp_path):
@@ -1014,8 +1019,31 @@ def test_report_json_is_every_report_field_and_the_config(subcommand, tmp_path):
     assert set(json.loads((out / "report.json").read_text())) == names | {"config"}
 
 
+def _finite_or_null(o):
+    """o with numpy values as Python ones, and each nan and infinity in it as None."""
+    if isinstance(o, (np.ndarray, np.generic)):
+        o = o.tolist()
+    if isinstance(o, float) and not math.isfinite(o):
+        return None
+    if isinstance(o, dict):
+        return {k: _finite_or_null(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_finite_or_null(v) for v in o]
+    return o
+
+
 def _json_reference(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, default=lambda o: o.tolist()) + "\n"
+    """json's own indent-2, sorted-key text of payload, each nan and infinity written as null."""
+    return json.dumps(_finite_or_null(payload), indent=2, sort_keys=True) + "\n"
+
+
+def _strict_json(path: pathlib.Path):
+    """The JSON in path, parsed as RFC 8259 JSON: a NaN, Infinity or -Infinity token fails."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not a JSON number")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 # a small run of every subcommand, each writing a JSON file
@@ -1074,7 +1102,8 @@ def test_no_study_calls_lapack_or_a_sort(subcommand, tmp_path, monkeypatch):
     [],
     {"empty": [], "nothing": {}, "deeper": [[], {}, [[]], ()]},
     {"nested": {"b": [1, 2.5], "a": {"c": [[1.0, 2.0], [3.0, 4.0]]}}, "grid": np.arange(6.0).reshape(2, 3)},
-    {"special": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300, 10**30]},
+    {"special": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300, 10**30,
+                 np.float64("nan"), np.float32("-inf"), np.array([np.nan, 1.0, -np.inf])]},
     {"numpy": [np.float64(1 / 3), np.int64(-4), np.bool_(True)], "scalars": (np.float64(0.1), np.bool_(False))},
     {"mixed": [1.5, 2, True, False, None, "x"], "tuple": (1, 2.0), "column": np.zeros((0, 3))},
     {"escapes": ["quote \" backslash \\ tab \t nul \0", "\u00e9\u2603\U0001f600", "line\nbreak"]},
@@ -1085,6 +1114,53 @@ def test_write_json_writes_the_text_of_json_dump(payload, tmp_path):
     path = tmp_path / "out.json"
     frontks.cli.write_json(str(path), payload)
     assert path.read_text() == _json_reference(payload)
+
+
+# runs whose report holds a nan: every truncation of the galerkin run blows up, the
+# scan is too short to fit a rate, and the convergence run has no second epsilon to fit
+# an order to; (arguments, exit code, report field, the CSV that writes the nan as it is)
+NAN_RUNS = {
+    "galerkin": (
+        ["--equation", "front", "--alpha", "3", "--ell", "12.566370614359172", "--n-list", "64,128,256",
+         "--amplitude", "3", "--t-end", "1", "--dt", "0.01"],
+        EXIT_BLOWUP, "final_diffs", "galerkin.csv",
+    ),
+    "stability-scan": (
+        ["--ell", "6.283185307179586", "--n-modes", "8", "--alphas", "1", "--t-end", "0.1", "--dt", "0.05"],
+        EXIT_OK, "measured_rates", "scan.csv",
+    ),
+    "convergence": (
+        ["--ell0", "31.41592653589793", "--n-modes", "16", "--t-end", "0.5", "--epsilons", "0.08",
+         "--dt", "0.05"],
+        EXIT_OK, "fitted_order", None,
+    ),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(NAN_RUNS))
+def test_a_nan_in_a_report_is_written_as_json_null(subcommand, tmp_path):
+    args, code, field, csv = NAN_RUNS[subcommand]
+    out = tmp_path / subcommand
+    assert main([subcommand, *args, "--out", str(out)]) == code
+    value = _strict_json(out / "report.json")[field]
+    assert None in value if isinstance(value, list) else value is None
+    if csv:
+        assert ",nan" in (out / csv).read_text()
+
+
+@pytest.mark.filterwarnings("error")
+def test_ks_apriori_past_the_float_range_of_its_bounds_writes_strict_json_without_a_warning(tmp_path):
+    # the mean bound passes the float range at tau > 163.8; there it reads inf, written as null
+    out = tmp_path / "ap"
+    rc = main(["ks-apriori", "--ell0", "31.41592653589793", "--n-modes", "32", "--t-end", "200",
+               "--dt", "0.05", "--output-stride", "100", "--out", str(out)])
+    assert rc == EXIT_OK
+    report = _strict_json(out / "report.json")
+    assert report["slope_bound_ok"] and report["mean_bound_ok"]
+    assert math.isfinite(report["min_mean_margin"]) and math.isfinite(report["min_slope_margin"])
+    assert report["mean_bounds"][-1] is None
+    header, rows = _read_csv(out / "apriori.csv")
+    assert rows[-1][header.index("mean_bound")] == "inf"
 
 
 def test_ks_apriori_blowup_writes_outputs_then_exit_code(tmp_path):

@@ -223,6 +223,17 @@ def test_ks_apriori_zero_initial_data():
     assert rep.blowups == []
 
 
+def test_ks_apriori_zero_initial_data_past_the_float_range_of_the_bounds():
+    # e^(13 tau/3) and e^(13 tau/6) pass the float range at tau = 163.8 and 327.6; a zero
+    # field's bounds stay 0 and |mean(0)| = 0 there, where 0 * inf would read nan
+    grid = make_grid(10 * np.pi, 8)
+    rep = run_ks_apriori_check(SpectralField(grid, np.zeros(8)), 400.0, 0.5, output_stride=100)
+    assert list(rep.times) == [0.0, 50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0]
+    assert np.all(rep.slope_bounds == 0.0) and np.all(rep.mean_bounds == 0.0)
+    assert rep.slope_bound_ok and rep.mean_bound_ok
+    assert rep.min_slope_margin == rep.min_mean_margin == 0.0
+
+
 def test_ks_apriori_short_run_has_margin():
     grid = make_grid(10 * np.pi, 64)
     rep = run_ks_apriori_check(cosine_field(grid, 0.1, 1), 2.0, 1e-3, output_stride=100)
